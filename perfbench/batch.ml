@@ -10,23 +10,25 @@ open Locald_local
 open Locald_core
 open Locald_perfbench
 
-let jobs = 2
-
 type pass = { p_wall : float; p_ops : int; p_ok : bool }
 
-(* A workload: [setup] builds its instances (timed on its own, [setups]
-   times); [pass] does one unit of work and returns (ops, output ok);
-   [attribute] runs the layer replays of a traced run. *)
+(* A workload: [setup] builds its instances (timed on its own,
+   [setups] times); [pass] does one unit of work and returns (ops,
+   output ok); [attribute] runs the layer replays of a traced run. *)
 type 'i workload = {
   ops_name : string;  (* what one op is, and the input size *)
+  jobs : int;  (* worker domains of the pool *)
+  setups : int;
+      (* enough that the set-ups take a few tenths of a second in all: a
+         one-millisecond set-up needs hundreds for a steady median. The
+         count is fixed, not timed, so the heap a run's passes start
+         from is the same in every run. *)
   setup : unit -> 'i;
-  prime : unit -> unit;  (* lazy caches the passes rely on, filled untimed *)
+  prime : 'i -> unit;  (* lazy values the passes rely on, forced untimed *)
   pass : 'i -> int * bool;
   attribute : 'i -> pass array -> unit;
   layer_counters : passes:int -> unit;  (* per-pass counters of the timed phase *)
 }
-
-let setups = 5
 
 (* G(M,1) construction times of the set-ups, reported as gmr.build_s. *)
 let gmr_times = ref []
@@ -37,11 +39,19 @@ let gmr_timed f =
   r
 
 (* Run [pass] while another pass as long as the last one still fits
-   in [seconds] (at least two passes). *)
+   in [seconds] (at least [min_passes] passes). Also returns the peak
+   RSS after the first [min_passes] passes: the heap keeps growing over
+   later passes, and how many of those a run gets depends on the host's
+   speed. *)
+let min_passes = 2
+
 let timed_passes ~seconds pass =
   let t0 = Timing.now () in
+  let rss = ref 0. in
   let rec go acc last k =
-    if k >= 2 && Timing.duration_since t0 +. last > seconds then Array.of_list (List.rev acc)
+    if k = min_passes then rss := Probes.peak_rss_mb 0;
+    if k >= min_passes && Timing.duration_since t0 +. last > seconds then
+      (Array.of_list (List.rev acc), !rss)
     else
       let (ops, ok), dt = Timing.time pass in
       go ({ p_wall = dt; p_ops = ops; p_ok = ok } :: acc) dt (k + 1)
@@ -80,17 +90,14 @@ let canon_counters ~passes =
   Report.set "canon.fallback" (per ~passes cs.Canon.fallback)
 
 let run w ~seconds ~trace =
-  Pool.set_default_jobs jobs;
-  let setup_times = ref [] in
-  let inst = ref None in
-  for _ = 1 to setups do
+  Pool.set_default_jobs w.jobs;
+  let rec set_up k times =
     let i, dt = Timing.time w.setup in
-    setup_times := dt :: !setup_times;
-    inst := Some i
-  done;
-  let inst = Option.get !inst in
-  w.prime ();
-  let setup = Report.timing "setup_s" ~unit_:"s" (Array.of_list !setup_times) in
+    if k <= 1 then (i, dt :: times) else set_up (k - 1) (dt :: times)
+  in
+  let inst, setup_times = set_up w.setups [] in
+  w.prime inst;
+  let setup = Report.timing "setup_s" ~unit_:"s" (Array.of_list setup_times) in
   Report.set "setup_s" setup.Stats.median;
   if !gmr_times <> [] then Report.set "gmr.build_s" (Stats.median (Array.of_list !gmr_times));
   (* Timed phase: fresh telemetry scope, GC / CPU / arena snapshots. *)
@@ -98,21 +105,20 @@ let run w ~seconds ~trace =
   let g0 = Probes.gc_now () and cpu0 = Probes.cpu_s () in
   let allocs0 = Arena.scratch_allocs () and reuses0 = Arena.scratch_reuses () in
   let t0 = Timing.now () in
-  let passes = timed_passes ~seconds (fun () -> w.pass inst) in
+  let passes, rss = timed_passes ~seconds (fun () -> w.pass inst) in
   let wall = Timing.duration_since t0 in
   let g1 = Probes.gc_now () and cpu1 = Probes.cpu_s () in
   let np = Array.length passes in
   let ms = Array.map (fun p -> p.p_wall *. 1000.) passes in
   let lat = Report.timing "pass_ms" ~unit_:"ms" ms in
-  Report.note "passes (ms): %s" (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.0f") ms)));
   let rates = Array.map (fun p -> float_of_int p.p_ops /. p.p_wall) passes in
   Report.note "ops: %s; %d ops per pass, %d passes in %.3f s at jobs %d" w.ops_name
     passes.(0).p_ops np wall (Pool.default_jobs ());
   Report.set "ops_per_s" (Stats.median rates);
   Report.set "latency_p50_ms" lat.Stats.median;
-  Report.set "latency_p90_ms" lat.Stats.p90;
+  Report.set_p90 "latency_p90_ms" lat;
   Report.set "alloc_mwords" (Probes.alloc_words g0 g1 /. 1e6 /. float_of_int np);
-  Report.set "peak_rss_mb" (Probes.peak_rss_mb 0);
+  Report.set "peak_rss_mb" rss;
   let failed = Array.fold_left (fun acc p -> if p.p_ok then acc else acc + 1) 0 passes in
   let share = Stats.share (float_of_int failed) (float_of_int np) in
   Report.set "ok_share" (1. -. share);
@@ -150,6 +156,8 @@ let coverage_pin = "af7639165cd217ca3c18a84d50d0cd1b"
 let coverage =
   {
     ops_name = "T_r nodes covered (arity 2, r 2, f(n)=n+5, t 3)";
+    jobs = 1;
+    setups = 9;
     setup =
       (fun () ->
         (* What [Tree_instances.big_tree] does on a cache miss; the
@@ -159,7 +167,7 @@ let coverage =
           (fun l -> Tree_instances.Tree l)
           (Layered_tree.make ~arity:p.Tree_instances.arity ~r:p.Tree_instances.r
              ~depth:(Tree_instances.depth p)));
-    prime = (fun () -> ignore (Tree_instances.big_tree coverage_params));
+    prime = (fun _ -> ignore (Tree_instances.big_tree coverage_params));
     pass =
       (fun _ ->
         let c = Tree_deciders.coverage coverage_params ~t:coverage_t in
@@ -221,6 +229,8 @@ let certify_digest (r : Locald_analysis.Analysis.report) =
 let certify =
   {
     ops_name = "trace events of the LD decider over six G(M,1) instances (budget 50000)";
+    jobs = 2;
+    setups = 9;
     setup =
       (fun () ->
         gmr_timed (fun () -> List.map (fun (name, m) -> (name, (gmr_build ~cap:100 m).Gmr.lg)) certify_machines));
@@ -271,18 +281,27 @@ let certify =
 
 (* The three knowledge-flooding loops on G(two_faced s2, r 1) at
    fragment cap 10: the sync gossip engine, the fault replay (drop 0.2,
-   one retry) and async view assembly. The seed draws the identifier
-   assignment and the fault coins; the async scheduler keeps the scale
-   tier's seed 7, since its seed changes how much queueing the assembly
-   does and so the work a pass measures. *)
+   one retry) and async view assembly. The seed draws [flood_inputs]
+   identifier assignments and fault plans, and pass [k] runs on input
+   [k mod flood_inputs], so a run's figures average over several
+   inputs rather than resting on one. The async scheduler keeps the
+   scale tier's seed 7, since its seed changes how much queueing the
+   assembly does and so the work a pass measures. *)
+type flood_input = {
+  ids : Ids.t;
+  plan : Faults.plan;
+  reference : bool array Lazy.t;  (* the sync direct engine's outputs: the oracle *)
+}
+
 type flood = {
   lg : Gmr.label Labelled.t;
-  ids : Ids.t;
-  reference : bool array;
-  plan : Faults.plan;
+  inputs : flood_input array;
+  mutable next : int;
   sched : Async_runner.config;
   times : (string, float list) Hashtbl.t;  (* engine -> wall per pass *)
 }
+
+let flood_inputs = 8
 
 let flood_alg = Gmr_deciders.ld_decider ()
 
@@ -294,42 +313,53 @@ let timed fl name f =
 let flood ~seed =
   {
     ops_name = "node-runs of the gossip, fault and async engines on G(two_faced s2, r 1), cap 10";
+    jobs = 1;
+    setups = 250;
     setup =
       (fun () ->
         let t = gmr_timed (fun () -> gmr_build ~cap:10 (Locald_turing.Zoo.two_faced ~steps:2 ~real:0 ~fake:1)) in
         let lg = t.Gmr.lg in
         let rng = Random.State.make [| 0xf100d; seed |] in
-        let ids = Ids.shuffled rng (Labelled.order lg) in
+        let input () =
+          let ids = Ids.shuffled rng (Labelled.order lg) in
+          {
+            ids;
+            plan = Faults.make ~seed:(Random.State.bits rng) ~drop:0.2 ~retries:1 ();
+            reference = lazy (Runner.run ~backend:Backend.Sync flood_alg lg ~ids);
+          }
+        in
         {
           lg;
-          ids;
-          reference = Runner.run ~backend:Backend.Sync flood_alg lg ~ids;
-          plan = Faults.make ~seed:(Random.State.bits rng) ~drop:0.2 ~retries:1 ();
+          inputs = Array.init flood_inputs (fun _ -> input ());
+          next = 0;
           sched = { Async_runner.sched_seed = 7; fifo = false };
           times = Hashtbl.create 4;
         });
-    prime = ignore;
+    prime = (fun fl -> Array.iter (fun inp -> ignore (Lazy.force inp.reference)) fl.inputs);
     pass =
       (fun fl ->
         let n = Labelled.order fl.lg in
-        let gossip = timed fl "gossip" (fun () -> Runner.run_message_passing flood_alg fl.lg ~ids:fl.ids) in
+        let inp = fl.inputs.(fl.next mod flood_inputs) in
+        fl.next <- fl.next + 1;
+        let gossip = timed fl "gossip" (fun () -> Runner.run_message_passing flood_alg fl.lg ~ids:inp.ids) in
         let outcomes, _ =
-          timed fl "fault" (fun () -> Fault_runner.run ~plan:fl.plan flood_alg fl.lg ~ids:fl.ids)
+          timed fl "fault" (fun () -> Fault_runner.run ~plan:inp.plan flood_alg fl.lg ~ids:inp.ids)
         in
         let prep =
           timed fl "assemble" (fun () -> Runner.prepare ~backend:(Backend.Async fl.sched) flood_alg fl.lg)
         in
+        let reference = Lazy.force inp.reference in
         let faulted_ok =
           let ok = ref true in
           Array.iteri
             (fun v -> function
-              | Fault_runner.Decided o -> if o <> fl.reference.(v) then ok := false
+              | Fault_runner.Decided o -> if o <> reference.(v) then ok := false
               | Fault_runner.Unknown _ -> ())
             outcomes;
           !ok
         in
         ( 3 * n,
-          gossip = fl.reference && faulted_ok && Runner.run_prepared prep ~ids:fl.ids = fl.reference ));
+          gossip = reference && faulted_ok && Runner.run_prepared prep ~ids:inp.ids = reference ));
     layer_counters =
       (fun ~passes ->
         let m = Telemetry.metrics_json () in

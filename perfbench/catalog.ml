@@ -1,79 +1,53 @@
-(* Every metric the benchmark prints, with its unit: the end-to-end
-   set (untraced runs) and the per-layer set (traced runs). The lists
-   mirror BENCHMARK.json; a test keeps the two in step.
+(* The benchmark's workloads and metrics, with their units, as
+   BENCHMARK.json lists them: the end-to-end set (untraced runs) and
+   the per-layer set (traced runs). The file is read from the current
+   directory, the checkout root run.py runs the benchmark from.
 
    Per-layer counts are per pass: one request on serve-mix, one whole
    workload pass (coverage, certify sweep, flood round) on the batch
    workloads. *)
 
-let workloads = [ "serve-mix"; "coverage-scale"; "certify-scale"; "flood" ]
+module Json = Locald_runtime.Telemetry.Json
 
-let end_to_end =
-  [
-    ("setup_s", "s");
-    ("ops_per_s", "1/s");
-    ("latency_p50_ms", "ms");
-    ("latency_p90_ms", "ms");
-    ("ok_share", "share");
-    ("alloc_mwords", "Mwords/pass");
-    ("peak_rss_mb", "MB");
-  ]
+type t = {
+  workloads : string list;
+  end_to_end : (string * string) list;  (* name, unit *)
+  per_layer : (string * string) list;
+}
 
-let per_layer =
-  [
-    ("proto.req_bytes", "bytes");
-    ("proto.resp_bytes", "bytes");
-    ("proto.codec_us", "us");
-    ("serve.queue_wait_ms", "ms");
-    ("serve.busy", "count");
-    ("serve.malformed", "count");
-    ("service.handle_ms", "ms");
-    ("service.engine_builds", "count");
-    ("service.engine_evictions", "count");
-    ("service.engine_hit_ratio", "share");
-    ("decider.range_ms", "ms");
-    ("decider.decides_per_assignment", "count");
-    ("memo.hits", "count/pass");
-    ("memo.misses", "count/pass");
-    ("memo.evictions", "count/pass");
-    ("memo.hit_ratio", "share");
-    ("orbit.scanned", "count/pass");
-    ("view.extract_us", "us");
-    ("view.scratch_allocs", "count");
-    ("view.scratch_reuses", "count");
-    ("canon.key_us", "us");
-    ("canon.hits", "count/pass");
-    ("canon.misses", "count/pass");
-    ("canon.exact", "count/pass");
-    ("canon.fallback", "count/pass");
-    ("coverage.self_s", "s");
-    ("trace.run_us", "us");
-    ("analysis.views", "count");
-    ("analysis.distinct_views", "count");
-    ("analysis.events", "count");
-    ("gmr.build_s", "s");
-    ("pool.tasks", "count/pass");
-    ("pool.steals", "count/pass");
-    ("pool.queue_depth_max", "count");
-    ("pool.cpu_util", "share");
-    ("runner.gossip_s", "s");
-    ("fault_runner.run_s", "s");
-    ("async_runner.assemble_s", "s");
-    ("async.sends", "count/pass");
-    ("async.deliveries", "count/pass");
-    ("async.reorders", "count/pass");
-    ("async.max_queue", "count");
-    ("gc.minor_words", "Mwords/pass");
-    ("gc.promoted_words", "Mwords/pass");
-    ("gc.major_words", "Mwords/pass");
-    ("gc.minor_collections", "count/pass");
-    ("gc.major_collections", "count/pass");
-    ("telemetry.spans_per_request", "count/pass");
-    ("fail_share", "share");
-    ("trace.overhead_share", "share");
-  ]
+let file = "BENCHMARK.json"
+
+let of_json json =
+  let entries key =
+    match Json.member key json with
+    | Some (Json.List xs) -> xs
+    | _ -> failwith (Printf.sprintf "%s has no %s list" file key)
+  in
+  let str k o =
+    match Json.member k o with
+    | Some (Json.String s) -> s
+    | _ -> failwith (Printf.sprintf "%s: an entry has no string %s" file k)
+  in
+  let metrics key = List.map (fun o -> (str "name" o, str "unit" o)) (entries key) in
+  {
+    workloads = List.map (str "name") (entries "workloads");
+    end_to_end = metrics "end_to_end";
+    per_layer = metrics "per_layer";
+  }
+
+let spec =
+  lazy
+    (match In_channel.with_open_bin file In_channel.input_all with
+    | text -> of_json (Json.of_string text)
+    | exception Sys_error e -> failwith ("cannot read " ^ e))
+
+let get () = Lazy.force spec
 
 let unit_of name =
-  match List.assoc_opt name end_to_end with
+  let c = get () in
+  match List.assoc_opt name c.end_to_end with
   | Some u -> u
-  | None -> List.assoc name per_layer
+  | None -> (
+      match List.assoc_opt name c.per_layer with
+      | Some u -> u
+      | None -> invalid_arg ("Catalog.unit_of: " ^ name ^ " is not in " ^ file))

@@ -4,16 +4,16 @@
 
    prints informational "perfbench:" lines and, last, one JSON object
    {"correct", "attempted", "failed", "metrics"}: the end-to-end
-   metrics with --trace 0, the per-layer metrics with --trace 1 (see
-   Catalog). [main.exe --daemon SOCKET] is the serve-mix daemon this
-   executable spawns. *)
+   metrics with --trace 0, the per-layer metrics with --trace 1, as
+   BENCHMARK.json lists them (read through Catalog). [main.exe --daemon
+   SOCKET] is the serve-mix daemon this executable spawns. *)
 
 open Locald_perfbench
 
 let usage msg =
   prerr_endline ("perfbench: " ^ msg);
   prerr_endline
-    ("usage: main.exe --workload (" ^ String.concat " | " Catalog.workloads
+    ("usage: main.exe --workload (" ^ String.concat " | " (Catalog.get ()).Catalog.workloads
    ^ ") --seed N --seconds S --trace 0|1");
   exit 124
 
@@ -39,16 +39,21 @@ let () =
         match get "--trace" with "0" -> false | "1" -> true | _ -> usage "--trace is 0 or 1"
       in
       if seconds < 1 then usage "--seconds must be positive";
-      if not (List.mem workload Catalog.workloads) then usage ("unknown workload " ^ workload);
-      Report.meta ~workload ~seed ~seconds ~trace ~jobs:Batch.jobs
-        ~connections:(if workload = "serve-mix" then Serve_mix.connections else 0);
-      let seconds = float_of_int seconds in
-      let correct, attempted, failed =
+      if not (List.mem workload (Catalog.get ()).Catalog.workloads) then
+        usage ("unknown workload " ^ workload);
+      let jobs, run =
         match workload with
-        | "serve-mix" -> Serve_mix.run ~seed ~seconds ~trace
-        | "coverage-scale" -> Batch.run Batch.coverage ~seconds ~trace
-        | "certify-scale" -> Batch.run Batch.certify ~seconds ~trace
-        | _ -> Batch.run (Batch.flood ~seed) ~seconds ~trace
+        | "serve-mix" -> (Serve_mix.jobs, fun seconds -> Serve_mix.run ~seed ~seconds ~trace)
+        | "coverage-scale" ->
+            (Batch.coverage.Batch.jobs, fun seconds -> Batch.run Batch.coverage ~seconds ~trace)
+        | "certify-scale" ->
+            (Batch.certify.Batch.jobs, fun seconds -> Batch.run Batch.certify ~seconds ~trace)
+        | _ ->
+            let w = Batch.flood ~seed in
+            (w.Batch.jobs, fun seconds -> Batch.run w ~seconds ~trace)
       in
+      Report.meta ~workload ~seed ~seconds ~trace ~jobs
+        ~connections:(if workload = "serve-mix" then Serve_mix.connections else 0);
+      let correct, attempted, failed = run (float_of_int seconds) in
       Report.emit ~trace ~correct ~attempted ~failed
   | [] -> usage "no arguments"

@@ -2,14 +2,13 @@
    registry.
 
    Traffic comes in blocks. Every block holds the same kinds in the
-   same order — each kind's copies spread evenly over the block — so
-   the mix's composition and interleaving (and with them throughput
-   and the latency percentiles) do not depend on the seed; the seed
-   picks the rank offsets of the partial ranges. Each partial kind
-   draws [offsets_per_kind] offsets once and cycles through them, so a
-   run repeats a few distinct ranges (the daemon's warm engines see
-   repeated keys) and the in-process cross-check after the timed phase
-   stays short. *)
+   same order, so the mix's composition and interleaving (and with them
+   throughput and the latency percentiles) do not depend on the seed;
+   the seed picks the rank offsets of the partial ranges. Each partial
+   kind draws [offsets_per_kind] offsets once and cycles through them,
+   so a run repeats a few distinct ranges (the daemon's warm engines
+   see repeated keys) and the in-process cross-check after the timed
+   phase stays short. *)
 
 module Proto = Locald_runtime.Proto
 
@@ -36,19 +35,34 @@ let exh_part_async = kind "exh-part-async" ~config:async7 ~width:4096 "exhaustiv
 let exh_part_off = kind "exh-part-memo-off" ~config:memo_off ~width:4096 "exhaustive-decider"
 let a1_full = kind "a1-full" "exhaustive-decider-a1"
 let a1_part = kind "a1-part" ~width:128 "exhaustive-decider-a1"
-let curve_part = kind "curve-part" ~width:256 "corollary1-curve"
+let curve_part = kind "curve-part" ~width:128 "corollary1-curve"
+let certify_full = kind "certify-full" "certify-gmr"
 let certify_part = kind "certify-part" ~width:256 "certify-gmr"
 
-(* One block, in order. Full exhaustive-decider ranges are ~0.6 s on
-   the seed tree and everything else is tens of milliseconds: three
-   slow requests in twenty, evenly spaced, put the 90th percentile
-   inside the slow cluster rather than on its edge, and a fixed order
-   keeps which request queues behind which the same in every run. *)
+(* The weights come from the serve tier's five-request mix
+   (bench/main.ml, [serve_mix], pinned in BENCH_serve.json): two
+   exhaustive-decider requests (startup default, async seed 7), one
+   exhaustive-decider-a1, one 128-rank corollary1-curve range and one
+   certify-gmr, all full ranges but the curve. A block is three rounds
+   of those five slots. Round one is the serve tier's mix itself;
+   rounds two and three keep every slot's workload and vary only what
+   the serve tier does not send: the two exhaustive slots together
+   send each config (default, async seed 7, memo off) once full and
+   once as a partial range, and the a1 and certify slots send partial
+   ranges. So per block: exhaustive-decider 6 of 15 (3 full), a1 3 (1
+   full), curve 3, certify 3 (1 full).
+
+   The daemon executes one request at a time, so with two connections
+   in a closed loop a request waits for the one sent just before it on
+   the other connection. Which partial exhaustive config goes in which
+   of rounds two and three is chosen so that the middle of the
+   resulting latency distribution is a plateau of near-equal pairs
+   rather than a gap, which keeps the median steady from run to run. *)
 let block =
   [
-    exh_full; exh_part; curve_part; a1_full; certify_part; exh_part_async; exh_part;
-    exh_full_async; exh_part_off; curve_part; certify_part; a1_part; exh_part;
-    exh_full_off; exh_part_async; curve_part; a1_full; certify_part; exh_part_off; exh_part;
+    exh_full; exh_full_async; a1_full; curve_part; certify_full;
+    exh_full_off; exh_part; a1_part; curve_part; certify_part;
+    exh_part_off; exh_part_async; a1_part; curve_part; certify_part;
   ]
 
 let block_size = List.length block

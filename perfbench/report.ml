@@ -13,12 +13,15 @@ let set name v =
 
 let note fmt = Printf.ksprintf (fun s -> print_endline ("perfbench: " ^ s)) fmt
 
-(* Every timing is printed with its sample count; a tail percentile
-   with fewer than [Stats.min_beyond] samples beyond it is flagged as
-   not reported (its value is still the nearest-rank quantile, since
-   the result must carry every metric). *)
+(* Every timing is printed with its sample count (and its samples,
+   when there are few); a tail percentile with fewer than
+   [Stats.min_beyond] samples beyond it is flagged as not reported, and
+   [set_p90] keeps it out of the result. *)
 let timing name ~unit_ xs =
   let s = Stats.summarise xs in
+  if s.Stats.n <= 40 then
+    note "samples %s: %s" name
+      (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.4g") xs)));
   note "timing %s: n=%d median=%.6g %s p90=%.6g%s" name s.Stats.n s.Stats.median
     unit_ s.Stats.p90
     (if s.Stats.p90_reported then ""
@@ -26,6 +29,10 @@ let timing name ~unit_ xs =
        Printf.sprintf " (p90 not reported: %d samples beyond it, %d needed)"
          (Stats.beyond 0.9 s.Stats.n) Stats.min_beyond);
   s
+
+(* A tail percentile is set only when it is reportable; otherwise it
+   reads 0, like a layer the workload does not reach. *)
+let set_p90 name (s : Stats.summary) = if s.Stats.p90_reported then set name s.Stats.p90
 
 (* The commit, read from the checkout's git metadata when there is
    any (a plain source tree has none). *)
@@ -71,12 +78,14 @@ let meta ~workload ~seed ~seconds ~trace ~jobs ~connections =
            ]))
 
 (* The result line: every metric of the run's set, in catalog order.
-   Layers a workload does not exercise read 0 and are listed. *)
+   Layers a workload does not exercise, and percentiles flagged as
+   not reported, read 0 and are listed. *)
 let emit ~trace ~correct ~attempted ~failed =
-  let names = if trace then Catalog.per_layer else Catalog.end_to_end in
+  let c = Catalog.get () in
+  let names = if trace then c.Catalog.per_layer else c.Catalog.end_to_end in
   let missing = List.filter (fun (n, _) -> not (Hashtbl.mem values n)) names in
   if missing <> [] then
-    note "not exercised by this workload (reported as 0): %s"
+    note "not exercised by this workload or not reported (reported as 0): %s"
       (String.concat " " (List.map fst missing));
   let metric (name, unit_) =
     ( name,

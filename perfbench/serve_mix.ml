@@ -4,7 +4,7 @@
    The daemon is this executable re-run with [--daemon SOCKET]: it
    calls Service.create / Service.handlers / Serve.run exactly as
    [locald serve] does (metrics on, startup defaults, a pool of
-   [Batch.jobs] domains), with two outside-in additions. Its
+   [jobs] domains), with two outside-in additions. Its
    [on_request] is wrapped to time every decide, and its metrics
    replies carry an extra "bench" object with those handler times, its
    GC counters and its CPU time — so service time, daemon allocation
@@ -20,6 +20,12 @@ module Service = Locald_core.Service
 module Backend = Locald_local.Backend
 
 let connections = 2
+
+(* Worker domains of the daemon's pool. *)
+let jobs = 2
+
+(* Daemon start-ups timed per run; the median is setup_s. *)
+let setups = 9
 
 (* Committed full-range digests: BENCH_quick's exhaustive-decider@j1,
    the a1 merge digest of the shard smoke check, and the two
@@ -43,7 +49,7 @@ let daemon socket =
       List.iter (fun p -> prerr_endline ("perfbench daemon: " ^ p)) problems;
       exit 124);
   Telemetry.set_metrics true;
-  Pool.set_default_jobs Batch.jobs;
+  Pool.set_default_jobs jobs;
   let drain = Atomic.make false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set drain true));
   let base = Service.handlers (Service.create ()) in
@@ -300,14 +306,14 @@ let run ~seed ~seconds ~trace =
   let reqs = Array.of_list (Mix.generate ~seed ~total_of ~blocks:200) in
   Report.note "serve-mix: %d-request blocks over %d engines, closed loop on %d connections"
     Mix.block_size (List.length Mix.engines) connections;
-  (* Set-up [Batch.setups] times (spawn, ping, warm every engine); the
+  (* Set-up [setups] times (spawn, ping, warm every engine); the
      last daemon serves the timed phase. *)
-  let setups = ref [] in
+  let setup_times = ref [] in
   let d =
     let rec go k =
       let d, dt = Timing.time (fun () -> start k) in
-      setups := dt :: !setups;
-      if k < Batch.setups then begin
+      setup_times := dt :: !setup_times;
+      if k < setups then begin
         stop d;
         go (k + 1)
       end
@@ -315,7 +321,7 @@ let run ~seed ~seconds ~trace =
     in
     go 1
   in
-  let setup = Report.timing "setup_s" ~unit_:"s" (Array.of_list !setups) in
+  let setup = Report.timing "setup_s" ~unit_:"s" (Array.of_list !setup_times) in
   Report.set "setup_s" setup.Stats.median;
   let conns = [| d.ctl; connect d.socket ~deadline:(Timing.now () +. 10.) |] in
   let m0 = metrics d in
@@ -334,20 +340,56 @@ let run ~seed ~seconds ~trace =
   Report.note "ops: %d requests in %.3f s (decide requests over the Sweeps registry)" n wall;
   Report.set "ops_per_s" (float_of_int n /. wall);
   Report.set "latency_p50_ms" lat.Stats.median;
-  Report.set "latency_p90_ms" lat.Stats.p90;
+  Report.set_p90 "latency_p90_ms" lat;
   Report.set "peak_rss_mb" rss;
   let b0 = bench_of m0 and b1 = bench_of m1 in
   let g0 = Probes.gc_of_json (Probes.section "gc" b0) and g1 = Probes.gc_of_json (Probes.section "gc" b1) in
   Report.set "alloc_mwords" (Probes.alloc_words g0 g1 /. 1e6 /. float_of_int (max 1 n));
+  (* Handler time per decide, from the daemon: how the block's
+     service time splits between full and partial ranges. *)
+  let handled_list =
+    match Json.member "handled" b1 with
+    | Some (Json.List hs) ->
+        List.filter_map
+          (function Json.List [ Json.Int id; t ] -> Some (id, Probes.num (Some t)) | _ -> None)
+          hs
+    | _ -> []
+  in
+  let handled = Hashtbl.create 256 in
+  List.iter (fun (id, t) -> Hashtbl.replace handled id t) handled_list;
+  let handle_ms =
+    Array.map
+      (fun r ->
+        let id = reqs.(r.r_index).Mix.q_req.Proto.r_id in
+        1000. *. Option.value ~default:0. (Hashtbl.find_opt handled id))
+      records
+  in
+  let kind_of i = reqs.(records.(i).r_index).Mix.q_kind in
+  let handled_by pick = List.filteri (fun i _ -> pick (kind_of i)) (Array.to_list handle_ms) in
+  let share pick =
+    let sum xs = List.fold_left ( +. ) 0. xs in
+    100. *. Stats.share (sum (handled_by pick)) (sum (Array.to_list handle_ms))
+  in
+  Report.note "daemon handler ms by kind (median): %s"
+    (String.concat " "
+       (List.map
+          (fun (k : Mix.kind) ->
+            let xs = Array.of_list (handled_by (( = ) k)) in
+            Printf.sprintf "%s=%.1f" k.Mix.k_label (if xs = [||] then 0. else Stats.median xs))
+          Mix.kinds));
+  Report.note "daemon handler time: %.0f%% in full exhaustive-decider ranges, %.0f%% in all full ranges"
+    (share (fun k -> k.Mix.k_width = None && k.Mix.k_workload = "exhaustive-decider"))
+    (share (fun k -> k.Mix.k_width = None));
   (* Correctness: full ranges against the committed pins, partial
-     ranges against an in-process replay of the same range. The
-     replay engines are themselves checked against the pins. *)
+     ranges against an in-process replay of the same range. Every
+     replay engine is itself checked against its pin over the full
+     range. *)
   let engine_for = oracle () in
   let pins_ok =
     List.for_all
       (fun (k : Mix.kind) ->
         match List.assoc_opt k.Mix.k_workload pins with
-        | Some pin when k.Mix.k_width <> None && k.Mix.k_config = Proto.no_config ->
+        | Some pin when k.Mix.k_width <> None ->
             let hi = total_of k.Mix.k_workload in
             let got = digest_of_chunk ~lo:0 ~hi ((engine_for k) ~lo:0 ~hi) in
             if got <> pin then Report.note "replay of %s [0,%d) gave %s, pin %s" k.Mix.k_workload hi got pin;
@@ -407,23 +449,6 @@ let run ~seed ~seconds ~trace =
     Report.set "proto.codec_us" (Report.timing "proto.codec_us" ~unit_:"us" (Array.init n codec)).Stats.median;
     (* Serve and Service: handler time per request, and the wait the
        loop imposed on top of it. *)
-    let handled_list =
-      match Json.member "handled" b1 with
-      | Some (Json.List hs) ->
-          List.filter_map
-            (function Json.List [ Json.Int id; t ] -> Some (id, Probes.num (Some t)) | _ -> None)
-            hs
-      | _ -> []
-    in
-    let handled = Hashtbl.create 256 in
-    List.iter (fun (id, t) -> Hashtbl.replace handled id t) handled_list;
-    let handle_ms =
-      Array.map
-        (fun r ->
-          let id = reqs.(r.r_index).Mix.q_req.Proto.r_id in
-          1000. *. Option.value ~default:0. (Hashtbl.find_opt handled id))
-        records
-    in
     Report.set "service.handle_ms" (Report.timing "service.handle_ms" ~unit_:"ms" handle_ms).Stats.median;
     Report.set "serve.queue_wait_ms"
       (Report.timing "serve.queue_wait_ms" ~unit_:"ms" (Array.mapi (fun i l -> l -. handle_ms.(i)) lat_ms)).Stats.median;

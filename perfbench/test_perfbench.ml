@@ -1,6 +1,5 @@
 (* The benchmark's own tests, at tiny sizes: percentile math, failure
-   accounting, request-list determinism, and the metric catalog against
-   BENCHMARK.json. *)
+   accounting and request-list determinism. *)
 
 open Locald_perfbench
 module Proto = Locald_runtime.Proto
@@ -80,28 +79,10 @@ let test_request_list () =
         Alcotest.failf "range [%d,%d) outside [0,%d]" q.Mix.q_lo q.Mix.q_hi total)
     reqs
 
-let test_catalog () =
-  let ic = open_in_bin "../BENCHMARK.json" in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let json = Json.of_string text in
-  let entries key =
-    match Json.member key json with
-    | Some (Json.List xs) -> xs
-    | _ -> Alcotest.failf "BENCHMARK.json has no %s list" key
-  in
-  let str k o = match Json.member k o with Some (Json.String s) -> s | _ -> Alcotest.failf "missing %s" k in
-  let metrics key = List.map (fun o -> (str "name" o, str "unit" o)) (entries key) in
-  let pair = Alcotest.(list (pair string string)) in
-  check pair "end_to_end" Catalog.end_to_end (metrics "end_to_end");
-  check pair "per_layer" Catalog.per_layer (metrics "per_layer");
-  check Alcotest.(list string) "workloads" Catalog.workloads (List.map (str "name") (entries "workloads"))
-
 let () =
   Alcotest.run "perfbench"
     [
       ("stats", [ Alcotest.test_case "percentiles and reportability" `Quick test_percentiles ]);
       ("tally", [ Alcotest.test_case "fail_share counts wrong digests and busy replies" `Quick test_fail_share ]);
       ("mix", [ Alcotest.test_case "seeded request list" `Quick test_request_list ]);
-      ("catalog", [ Alcotest.test_case "metric catalog matches BENCHMARK.json" `Quick test_catalog ]);
     ]
