@@ -4,11 +4,11 @@
    Traffic comes in blocks. Every block holds the same kinds in the
    same order, so the mix's composition and interleaving (and with them
    throughput and the latency percentiles) do not depend on the seed;
-   the seed picks the rank offsets of the partial ranges. Each partial
-   kind draws [offsets_per_kind] offsets once and cycles through them,
-   so a run repeats a few distinct ranges (the daemon's warm engines
-   see repeated keys) and the in-process cross-check after the timed
-   phase stays short. *)
+   the seed picks the rank offsets of the partial ranges, one in each
+   slice of the rank space. Each partial kind draws [offsets_per_kind]
+   offsets once and cycles through them, so a run repeats a few
+   distinct ranges (the daemon's warm engines see repeated keys) and
+   the in-process cross-check after the timed phase stays short. *)
 
 module Proto = Locald_runtime.Proto
 
@@ -52,17 +52,26 @@ let certify_part = kind "certify-part" ~width:256 "certify-gmr"
    ranges. So per block: exhaustive-decider 6 of 15 (3 full), a1 3 (1
    full), curve 3, certify 3 (1 full).
 
-   The daemon executes one request at a time, so with two connections
-   in a closed loop a request waits for the one sent just before it on
-   the other connection. Which partial exhaustive config goes in which
-   of rounds two and three is chosen so that the middle of the
-   resulting latency distribution is a plateau of near-equal pairs
-   rather than a gap, which keeps the median steady from run to run. *)
+   The order inside a block is not the rounds' order. The load goes
+   in steps of one request per connection (Serve_mix.load), and every
+   request of a step waits for the whole step, so the latencies are
+   the steps' sums of handler times. With two connections and a block
+   of 15, two blocks are cut into steps of every adjacent pair of the
+   block once (the last request pairing with the next block's first),
+   so the median latency is the 8th smallest adjacent-pair sum. The
+   order sends the four slow full ranges back to back and the partial
+   ranges after them from the largest to the smallest, which puts an
+   isolated pair at that rank: the memo-off exhaustive partial range
+   (about 35 ms) with a curve range (about 20 ms), about 55 ms against
+   about 40 ms for the next smaller pair and 75 ms for the next
+   larger. The median then stays on that pair while the host's speed
+   drifts, instead of jumping between pairs. *)
 let block =
   [
-    exh_full; exh_full_async; a1_full; curve_part; certify_full;
-    exh_full_off; exh_part; a1_part; curve_part; certify_part;
-    exh_part_off; exh_part_async; a1_part; curve_part; certify_part;
+    exh_full; exh_full_async; exh_full_off; certify_full;
+    exh_part; exh_part_async; exh_part_off;
+    curve_part; curve_part; curve_part; certify_part; certify_part;
+    a1_part; a1_full; a1_part;
   ]
 
 let block_size = List.length block
@@ -97,7 +106,15 @@ let generate ~seed ~total_of ~blocks =
             let span = total_of k.k_workload - w + 1 in
             if span < 1 then
               invalid_arg (Printf.sprintf "Mix.generate: %s wider than its rank space" k.k_label);
-            (k.k_label, Array.init offsets_per_kind (fun _ -> Random.State.int rng span)))
+            (* Stratified: the [j]-th offset falls in the [j]-th of
+               [offsets_per_kind] equal slices of the span, so every seed
+               spreads a kind's ranges over its whole rank space and the
+               cost of the partial ranges changes little from seed to
+               seed. *)
+            let slice j = j * span / offsets_per_kind in
+            ( k.k_label,
+              Array.init offsets_per_kind (fun j ->
+                  slice j + Random.State.int rng (max 1 (slice (j + 1) - slice j))) ))
       kinds
   in
   let issued = Hashtbl.create 16 in

@@ -223,35 +223,71 @@ type record = {
   r_reply : Json.t option;
 }
 
-(* Each connection sends its next request only after the previous
-   reply; both draw from one shared cursor over the seeded list and
-   stop issuing once the deadline passes. *)
+(* The loop goes in steps: each step sends the next request of the
+   list on every connection, then waits for every reply before the next
+   step. The daemon executes the step's requests one after the other
+   and flushes a reply only after the batch it reads next, so each
+   request of a step waits for the others and every latency is the
+   sum of the step's handler times, whatever the order in which the
+   frames arrive. With independently looping connections a request
+   would instead wait for whichever neighbour in the list the two
+   connections had fallen into step with, which changes from run to
+   run. A reply that does not come within [reply_timeout] seconds
+   counts as a closed connection, and a closed connection ends the
+   loop. *)
+let reply_timeout = 60.
+
 let load conns reqs ~seconds =
-  let next = Atomic.make 0 in
+  let width = Array.length conns in
   let t_start = Timing.now () in
   let deadline = t_start +. seconds in
-  let worker fd () =
-    let acc = ref [] in
-    let rec loop () =
-      if Timing.now () < deadline then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length reqs then begin
-          let frame = Proto.request_to_json reqs.(i).Mix.q_req in
-          let t0 = Timing.now () in
-          let reply = call fd frame in
-          acc := { r_index = i; r_latency = Timing.duration_since t0; r_reply = reply } :: !acc;
-          if reply <> None then loop ()
-        end
-      end
-    in
-    loop ();
-    !acc
+  let records = ref [] in
+  let record i t0 reply =
+    records := { r_index = i; r_latency = Timing.duration_since t0; r_reply = reply } :: !records
   in
-  let other = Domain.spawn (worker conns.(1)) in
-  let mine = worker conns.(0) () in
-  let theirs = Domain.join other in
+  let rec step i =
+    if Timing.now () < deadline && i + width <= Array.length reqs then begin
+      let sent =
+        List.init width (fun c ->
+            let t0 = Timing.now () in
+            match Proto.write_frame conns.(c) (Proto.request_to_json reqs.(i + c).Mix.q_req) with
+            | () -> Some (c, t0)
+            | exception Unix.Unix_error _ ->
+                record (i + c) t0 None;
+                None)
+        |> List.filter_map Fun.id
+      in
+      let ok = ref (List.length sent = width) in
+      let rec collect pending =
+        if pending <> [] then begin
+          let ready =
+            match Unix.select (List.map (fun (c, _) -> conns.(c)) pending) [] [] reply_timeout with
+            | [], _, _ ->
+                List.iter (fun (c, t0) -> record (i + c) t0 None) pending;
+                ok := false;
+                []
+            | r, _, _ -> List.filter (fun (c, _) -> List.mem conns.(c) r) pending
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          in
+          List.iter
+            (fun (c, t0) ->
+              let reply =
+                try Proto.read_frame conns.(c)
+                with Unix.Unix_error _ | Proto.Frame_error _ | Json.Parse_error _ -> None
+              in
+              record (i + c) t0 reply;
+              if reply = None then ok := false)
+            ready;
+          if !ok then collect (List.filter (fun p -> not (List.memq p ready)) pending)
+        end
+      in
+      collect sent;
+      if !ok then step (i + width)
+    end
+  in
+  step 0;
   let wall = Timing.duration_since t_start in
-  let records = List.sort (fun a b -> compare a.r_index b.r_index) (mine @ theirs) in
+  let records = List.sort (fun a b -> compare a.r_index b.r_index) !records in
   (Array.of_list records, wall)
 
 (* ------------------------------------------------------------------ *)
@@ -334,9 +370,21 @@ let run ~seed ~seconds ~trace =
   stop d;
   let n = Array.length records in
   let lat_ms = Array.map (fun r -> r.r_latency *. 1000.) records in
-  let lat = Report.timing "latency_ms" ~unit_:"ms" lat_ms in
-  Report.note "latency deciles (ms): %s"
-    (String.concat " " (List.init 10 (fun i -> Printf.sprintf "%.0f" (Stats.percentile (float_of_int (i + 1) /. 10.) lat_ms))));
+  (* Every latency is the sum of its step's handler times, and the
+     steps' composition repeats every [cycle] requests (whole blocks
+     cut into whole steps). The percentiles are taken over whole
+     cycles only: a run's trailing partial cycle would add a
+     run-length-dependent share of some steps and move the median
+     between them. *)
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let cycle = Mix.block_size * connections / gcd Mix.block_size connections in
+  let whole = n / cycle * cycle in
+  let cycle_lat_ms = if whole = 0 then lat_ms else Array.sub lat_ms 0 whole in
+  let lat = Report.timing "latency_ms" ~unit_:"ms" cycle_lat_ms in
+  Report.note "latency over %d whole %d-request cycles; deciles (ms): %s" (whole / cycle) cycle
+    (String.concat " "
+       (List.init 10 (fun i ->
+            Printf.sprintf "%.0f" (Stats.percentile (float_of_int (i + 1) /. 10.) cycle_lat_ms))));
   Report.note "ops: %d requests in %.3f s (decide requests over the Sweeps registry)" n wall;
   Report.set "ops_per_s" (float_of_int n /. wall);
   Report.set "latency_p50_ms" lat.Stats.median;
