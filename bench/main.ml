@@ -972,6 +972,7 @@ type serve_entry = {
   se_mean_ms : float;
   se_max_ms : float;
   se_memo_hits : int;
+  se_certified : int;  (* ranges answered from a quotient certificate *)
 }
 
 let serve_entry_key = Printf.sprintf "serve-mixed@c%d" serve_connections
@@ -999,6 +1000,7 @@ let run_serve_load socket =
         done)
   in
   let hits = serve_metrics_counter conns.(0) ~id:0 "memo.hits" in
+  let certified = serve_metrics_counter conns.(0) ~id:0 "decider.certified" in
   Array.iter Unix.close conns;
   let lats = List.rev_map (fun s -> s *. 1000.) !latencies in
   let requests = List.length lats in
@@ -1009,6 +1011,7 @@ let run_serve_load socket =
     se_mean_ms = List.fold_left ( +. ) 0. lats /. float_of_int requests;
     se_max_ms = List.fold_left Float.max 0. lats;
     se_memo_hits = hits;
+    se_certified = certified;
   }
 
 let write_serve_entry path e =
@@ -1104,11 +1107,20 @@ let run_check_serve ~socket path =
       e.se_requests;
     fail := true
   end;
+  (* The warm exhaustive engines must answer the repeated full ranges
+     from their quotient certificates, not by re-deciding. *)
+  if e.se_certified <= 0 then begin
+    Printf.printf
+      "CHECK FAIL: daemon answered no range from a quotient certificate \
+       after %d repeated-mix requests\n"
+      e.se_requests;
+    fail := true
+  end;
   if !fail then exit 1;
   Printf.printf
     "CHECK: serve response digest matches its pin; cross-request memo hits = \
-     %d\n"
-    e.se_memo_hits
+     %d; certified ranges = %d\n"
+    e.se_memo_hits e.se_certified
 
 (* [--scale]/[--check-scale] accept an optional pin path plus any
    number of [--only WORKLOAD] filters (the CI smoke job runs the cheap

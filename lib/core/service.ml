@@ -3,11 +3,14 @@
    registry and the telemetry surface.
 
    The centrepiece is the engine cache. An {e engine} is one
-   [Sweeps.w_eval] closure — an instance's prepared views plus its
-   decide-once memo table — keyed by (workload, backend config, memo
+   [Sweeps.w_eval] closure — an instance's prepared views, its
+   decide-once memo table and, for the exhaustive-decider family, its
+   quotient certificate — keyed by (workload, backend config, memo
    mode). Engines persist across requests, so a repeated workload hits
-   the warm memo table: the cross-request cache the long-lived daemon
-   exists for. The cache is LRU-bounded ([max_engines]) and every
+   the warm memo table or is answered from the certificate without
+   deciding: the cross-request cache the long-lived daemon exists for.
+   Requests run one at a time, which is the sequential-call contract
+   [w_eval] closures require. The cache is LRU-bounded ([max_engines]) and every
    engine's memo table is size-bounded ([memo_capacity] through
    [Runner.prepare]), so a daemon fed a stream of distinct configs
    stays at a bounded footprint. Eviction at either level is

@@ -8,11 +8,12 @@
     {b Engine cache.} Each distinct (workload, backend config, memo
     mode) builds one {e engine} — the workload's [w_eval] closure:
     prepared views plus a decide-once memo table bounded by
-    [memo_capacity]. Engines persist across requests in an LRU cache
+    [memo_capacity], and for exhaustive workloads a quotient
+    certificate. Engines persist across requests in an LRU cache
     of at most [max_engines], so repeated workloads hit warm memo
-    tables (the [memo.hits] counter visibly grows across requests —
-    the point of the daemon). Both eviction levels are
-    digest-transparent.
+    tables or certificates (the [memo.hits] and [decider.certified]
+    counters visibly grow across requests — the point of the daemon).
+    Both eviction levels are digest-transparent.
 
     {b Per-request config, never ambient.} The daemon's defaults are
     captured once at {!create}; a request's [backend] / [sched_seed] /

@@ -6,8 +6,8 @@
    The contract a workload must honour: its rank space is the
    lexicographic injection order, its eval is a pure function of the
    rank range (so chunks recompute identically on retry/resume), and
-   tiling [0, total) over eval reproduces exactly the unsharded
-   [evaluate_exhaustive] counts and first-failure rank. *)
+   tiling [0, total) over eval reproduces exactly the one-range
+   answer [eval ~lo:0 ~hi:total]. *)
 
 open Locald_graph
 open Locald_local
@@ -28,8 +28,6 @@ type workload = {
     ?memo_capacity:int ->
     unit ->
     lo:int -> hi:int -> Shard.chunk_result;
-  w_unsharded :
-    ?backend:Backend.t -> ?memo:Memo.mode -> unit -> Decider.evaluation;
 }
 
 let regime = Ids.f_linear_plus 1
@@ -37,8 +35,7 @@ let regime = Ids.f_linear_plus 1
 (* A tree-instance workload: [p_decider params] quantified over every
    injective assignment of the instance's nodes into [0 .. n-1]. The
    instance is built lazily (the registry itself must stay cheap to
-   construct) and shared between geometry, eval and the reference
-   run. *)
+   construct) and shared between geometry and eval. *)
 let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
     () =
   let params = { Tree_instances.regime; arity; r } in
@@ -54,35 +51,24 @@ let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
      ambient session defaults — the serve daemon always passes them, so
      its requests never read (let alone mutate) the process-global
      defaults. The CLI paths pass nothing and behave as before. *)
+  (* One exhaustive engine per closure: its quotient certificate, once
+     scanned, answers every later range of this closure by arithmetic. *)
   let eval ?backend:req_backend ?memo ?memo_capacity () =
     let lg = Lazy.force lg in
-    let n = Labelled.order lg in
     let backend =
       match req_backend with Some _ -> req_backend | None -> backend
     in
-    let memo =
-      match memo with Some m -> m | None -> Memo.default_mode ()
+    let engine =
+      Decider.prepare_exhaustive ?backend ?memo ?memo_capacity
+        ~bound:(Labelled.order lg) alg lg
     in
-    let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
     fun ~lo ~hi ->
-      let rv =
-        Decider.evaluate_exhaustive_range ~prep ~bound:n ~lo ~hi alg ~expected
-          lg
-      in
+      let rv = Decider.evaluate_range engine ~expected ~lo ~hi in
       {
         Shard.r_correct = rv.Decider.rv_correct;
         r_wrong = rv.Decider.rv_wrong;
         r_fail = Option.map (fun (rank, _, _) -> rank) rv.Decider.rv_failure;
       }
-  in
-  let unsharded ?backend:req_backend ?memo () =
-    let lg = Lazy.force lg in
-    let n = Labelled.order lg in
-    let backend =
-      match req_backend with Some _ -> req_backend | None -> backend
-    in
-    Decider.evaluate_exhaustive ?backend ?memo ~bound:n alg ~expected
-      ~instance:name lg
   in
   {
     w_name = name;
@@ -91,7 +77,6 @@ let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
     w_chunk = chunk;
     w_geometry = geometry;
     w_eval = eval;
-    w_unsharded = unsharded;
   }
 
 (* A Monte-Carlo curve workload: ranks are coin seeds, not id
@@ -104,8 +89,8 @@ let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
    merge/resume consistency is exercised on a workload whose failures
    are real, not seeded corruption. *)
 (* Same fragment cap as the bench's G(M,1) instance: keeps the
-   construction a few hundred nodes, so the reference unsharded runs
-   the digest-pin tests perform stay fast. *)
+   construction a few hundred nodes, so the full-range runs the
+   digest-pin tests perform stay fast. *)
 let gmr_config = { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 100 }
 
 let corollary1_workload ~name ~description ~machine ~expected ~total ~chunk ()
@@ -144,23 +129,6 @@ let corollary1_workload ~name ~description ~machine ~expected ~total ~chunk ()
       done;
       { Shard.r_correct = !correct; r_wrong = !wrong; r_fail = !fail }
   in
-  let unsharded ?backend:_ ?memo:_ () =
-    let t = Lazy.force built in
-    let fast = Gmr_deciders.Fast.prepare t.Gmr.lg in
-    let correct = ref 0 and wrong = ref 0 in
-    for k = 0 to total - 1 do
-      if verdict_at fast k = expected then incr correct else incr wrong
-    done;
-    {
-      Decider.instance = name;
-      n = Gmr.order t;
-      expected;
-      assignments = total;
-      correct = !correct;
-      wrong = !wrong;
-      failure = None;
-    }
-  in
   {
     w_name = name;
     w_description = description;
@@ -168,7 +136,6 @@ let corollary1_workload ~name ~description ~machine ~expected ~total ~chunk ()
     w_chunk = chunk;
     w_geometry = geometry;
     w_eval = eval;
-    w_unsharded = unsharded;
   }
 
 (* A provenance-certification sweep: ranks are the nodes of a
@@ -219,28 +186,6 @@ let certify_gmr_workload ~name ~description ~machine ~chunk () =
       done;
       { Shard.r_correct = !correct; r_wrong = !wrong; r_fail = !fail }
   in
-  let unsharded ?backend:_ ?memo:_ () =
-    let t = Lazy.force built in
-    let lg = t.Gmr.lg in
-    let n = Gmr.order t in
-    let ids = Array.init n (fun i -> i) in
-    let alg = Gmr_deciders.ld_decider () in
-    let correct = ref 0 and wrong = ref 0 in
-    for v = 0 to n - 1 do
-      if node_ok lg ids ~radius:alg.Algorithm.radius alg.Algorithm.decide v
-      then incr correct
-      else incr wrong
-    done;
-    {
-      Decider.instance = name;
-      n;
-      expected = true;
-      assignments = n;
-      correct = !correct;
-      wrong = !wrong;
-      failure = None;
-    }
-  in
   {
     w_name = name;
     w_description = description;
@@ -248,7 +193,6 @@ let certify_gmr_workload ~name ~description ~machine ~chunk () =
     w_chunk = chunk;
     w_geometry = geometry;
     w_eval = eval;
-    w_unsharded = unsharded;
   }
 
 let all =
@@ -307,7 +251,3 @@ let names = List.map (fun w -> w.w_name) all
 let find name = List.find_opt (fun w -> w.w_name = name) all
 
 let default_name = "exhaustive-decider"
-
-let digest (e : Decider.evaluation) =
-  Shard.result_digest ~correct:e.Decider.correct ~wrong:e.Decider.wrong
-    ~assignments:e.Decider.assignments

@@ -31,10 +31,19 @@ type workload = {
     lo:int -> hi:int -> Locald_runtime.Shard.chunk_result;
       (** [w_eval ()] builds the instance, prepared views and
           decide-once memo once; the returned closure evaluates rank
-          ranges against them. Single-process state: build one per
-          shard process (or one per serve-daemon engine, shared across
-          requests — the memo table is the cross-request cache, so
+          ranges against them. [w_eval () ~lo:0 ~hi:total] is the
+          workload's whole answer, the reference every tiling must
+          merge to. Single-process state: build one per shard process
+          (or one per serve-daemon engine, shared across requests —
           long-lived holders should pass [memo_capacity]).
+
+          For the exhaustive-decider family the closure holds one
+          {!Locald_decision.Decider.exhaustive} engine, so a closure
+          that has seen enough ranks answers every later range from
+          its quotient certificate in O(1), without deciding. The
+          closure is mutable: call it from one domain at a time, as
+          {!Locald_runtime.Shard.run} and the serve daemon do (it
+          parallelises inside a range itself).
 
           The optional config is {e per-request}: it overrides first
           the workload's construction-time backend and then the
@@ -43,14 +52,6 @@ type workload = {
           given. Workloads without a backend/memo axis (the
           seed-ranked curve, the certify sweep) accept and ignore it;
           every configuration is digest-transparent. *)
-  w_unsharded :
-    ?backend:Locald_local.Backend.t ->
-    ?memo:Locald_runtime.Memo.mode ->
-    unit ->
-    Locald_decision.Decider.evaluation;
-      (** The reference unsharded run ([evaluate_exhaustive], quotient
-          and all) the merged result must reproduce, under the same
-          per-request configuration rules as [w_eval]. *)
 }
 
 val all : workload list
@@ -61,8 +62,3 @@ val find : string -> workload option
 
 val default_name : string
 (** ["exhaustive-decider"]. *)
-
-val digest : Locald_decision.Decider.evaluation -> string
-(** The pinned digest of an evaluation:
-    {!Locald_runtime.Shard.result_digest} over its counts — equal to
-    the bench's [digest_of (correct, wrong, assignments)]. *)

@@ -21,24 +21,17 @@ type evaluation = {
    deciding the whole id space. *)
 let tally_chunk = 512
 
-let tally ?prep ?backend ~expected ~instance ~n assignments_seq alg lg =
-  (* The ball structure is id-independent: extract every view once and
-     only re-decorate per assignment (see Runner.prepare). The decide
-     itself is memoised per (node, ball restriction) under the session's
-     memo mode — transparent for the pure deciders this module is
-     specified for. *)
-  let prep =
-    match prep with
-    | Some p -> p
-    | None -> Runner.prepare ~memo:(Memo.default_mode ()) ?backend alg lg
-  in
+(* Decide a stream of assignments: force up to [tally_chunk] of them
+   sequentially — the sampling / enumeration order must not depend on
+   --jobs — then decide the batch in parallel. Returns the count, the
+   correct and wrong tallies, and the first wrong assignment in stream
+   order with its index in the stream. *)
+let tally prep ~expected seq =
   Telemetry.span "decider.tally" @@ fun () ->
   let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
-  let correct = ref 0 and wrong = ref 0 and failure = ref None and total = ref 0 in
+  let correct = ref 0 and wrong = ref 0 and failure = ref None in
+  let total = ref 0 in
   let rec drain seq =
-    (* Force up to [tally_chunk] assignments sequentially — the
-       sampling / enumeration order must not depend on --jobs — then
-       decide the batch in parallel. *)
     let buf = ref [] and len = ref 0 and rest = ref seq in
     let continue = ref true in
     while !continue && !len < tally_chunk do
@@ -54,38 +47,47 @@ let tally ?prep ?backend ~expected ~instance ~n assignments_seq alg lg =
       let verdicts = Pool.map verdict_of chunk in
       Array.iteri
         (fun i verdict ->
-          incr total;
           if Verdict.accepts verdict = expected then incr correct
           else begin
             incr wrong;
-            if !failure = None then failure := Some (chunk.(i), verdict)
+            if !failure = None then
+              failure := Some (!total + i, chunk.(i), verdict)
           end)
         verdicts;
+      total := !total + Array.length chunk;
       drain !rest
     end
   in
-  drain assignments_seq;
-  {
-    instance;
-    n;
-    expected;
-    assignments = !total;
-    correct = !correct;
-    wrong = !wrong;
-    failure = !failure;
-  }
+  drain seq;
+  (!total, !correct, !wrong, !failure)
+
+let drop_rank = Option.map (fun (_, ids, verdict) -> (ids, verdict))
 
 let evaluate ?backend ~rng ~regime ~assignments alg ~expected ~instance lg =
   Telemetry.span "decider.evaluate" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
-  let seq =
-    Seq.init assignments (fun _ -> Ids.sample rng regime ~n)
+  (* The ball structure is id-independent: extract every view once and
+     only re-decorate per assignment (see Runner.prepare). The decide
+     itself is memoised per (node, ball restriction) under the session's
+     memo mode — transparent for the pure deciders this module is
+     specified for. *)
+  let prep = Runner.prepare ~memo:(Memo.default_mode ()) ?backend alg lg in
+  let assignments, correct, wrong, failure =
+    tally prep ~expected
+      (Seq.init assignments (fun _ -> Ids.sample rng regime ~n))
   in
-  tally ?backend ~expected ~instance ~n seq alg lg
+  { instance; n; expected; assignments; correct; wrong;
+    failure = drop_rank failure }
 
-(* Exhaustive evaluation through the ball-local quotient. By the
-   locality correspondence a node's output under an assignment depends
-   only on the restriction to its ball, so scanning each node's
+(* ------------------------------------------------------------------ *)
+(* Exhaustive evaluation                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One engine answers every exhaustive question: the whole space, a
+   shard's chunk, a serve request's [lo, hi).
+
+   By the locality correspondence a node's output under an assignment
+   depends only on the restriction to its ball, so scanning each node's
    [perm ~bound ~k:(ball size)] injective restrictions decides the
    all-accept question over all [perm ~bound ~k:n] assignments:
 
@@ -93,86 +95,84 @@ let evaluate ?backend ~rng ~regime ~assignments alg ~expected ~instance lg =
                                      restriction of its ball
 
    (left-to-right because every restriction extends to a global
-   assignment when [bound >= n] — enforced by [enumerate_injections] —
-   and right-to-left trivially). When the scan certifies all-accept,
-   the tallies follow by arithmetic and are byte-identical to the naive
-   loop's; any rejection instead falls back transparently to the naive
-   loop, whose memo table the scan has already partly warmed. *)
-let evaluate_exhaustive ?(quotient = true) ?backend ?memo ?memo_capacity
-    ~bound alg ~expected ~instance lg =
-  Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
+   assignment when [bound >= n], which [prepare_exhaustive] enforces;
+   right-to-left trivially). The answer covers the whole rank space, so
+   once it is All_accept every range follows by arithmetic; once it is
+   Rejects every range runs the naive loop, whose memo table the scan
+   has partly warmed. Both are byte-identical to the naive loop's
+   answer.
+
+   The scan costs [scan_cost] decides and pays off only if the engine
+   goes on to answer enough ranks, so it waits until the naive decides
+   spent would reach that cost (ski rental): a one-rank probe never
+   scans, a full range scans at once. *)
+type certificate = Unknown | All_accept | Rejects
+
+type 'a exhaustive = {
+  x_prep : ('a, bool) Runner.prepared;
+  x_bound : int;
+  x_n : int;
+  x_total : int;
+  x_quotient : bool;
+  x_scan_cost : int;
+  mutable x_cert : certificate;
+  mutable x_spent : int;  (* naive decides so far, billed [n] per rank *)
+}
+
+let c_scans = Telemetry.Counter.make "decider.scans"
+let c_certified = Telemetry.Counter.make "decider.certified"
+
+let prepare_exhaustive ?(quotient = true) ?backend ?memo ?memo_capacity ~bound
+    alg lg =
   let n = Locald_graph.Labelled.order lg in
+  if bound < n then
+    raise
+      (Ids.Invalid_ids
+         (Printf.sprintf "cannot inject %d nodes into %d ids" n bound));
   let memo =
     match memo with Some m -> m | None -> Memo.default_mode ()
   in
   let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
-  let naive () =
-    tally ~prep ~expected ~instance ~n
-      (Ids.enumerate_injections ~n ~bound)
-      alg lg
-  in
-  if (not quotient) || n = 0 then naive ()
-  else begin
-    let all_accept = ref true in
-    let v = ref 0 in
-    while !all_accept && !v < n do
-      let k = Array.length (Runner.ball_of prep !v) in
-      (* Read-adaptive scan: each distinct behaviour of the decide on
-         this ball is computed once; restrictions that agree on the id
-         slots the decide actually reads are trie lookups. *)
-      let scan = Runner.restriction_scanner prep !v in
-      let scanned = ref 0 in
-      all_accept :=
-        Orbit.for_all_injections ~bound ~k (fun r ->
-            incr scanned;
-            scan r);
-      Orbit.add_scanned !scanned;
-      incr v
-    done;
-    if not !all_accept then naive ()
-    else begin
-      let assignments = Orbit.perm ~bound ~k:n in
-      if expected then
-        {
-          instance;
-          n;
-          expected;
-          assignments;
-          correct = assignments;
-          wrong = 0;
-          failure = None;
-        }
-      else
-        (* Every assignment is wrong; the witness the naive loop would
-           report is the first enumerated assignment, re-decided
-           concretely (a memo hit) so the stored verdict is the real
-           run's. *)
-        let failure =
-          match Ids.enumerate_injections ~n ~bound () with
-          | Seq.Nil -> None
-          | Seq.Cons (first, _) ->
-              Some (first, Verdict.of_outputs (Runner.run_prepared prep ~ids:first))
-        in
-        {
-          instance;
-          n;
-          expected;
-          assignments;
-          correct = 0;
-          wrong = assignments;
-          failure;
-        }
-    end
-  end
+  let scan_cost = ref 0 in
+  for v = 0 to n - 1 do
+    scan_cost :=
+      !scan_cost + Orbit.perm ~bound ~k:(Array.length (Runner.ball_of prep v))
+  done;
+  {
+    x_prep = prep;
+    x_bound = bound;
+    x_n = n;
+    x_total = Orbit.perm ~bound ~k:n;
+    x_quotient = quotient;
+    x_scan_cost = !scan_cost;
+    x_cert = Unknown;
+    x_spent = 0;
+  }
 
-(* Range-restricted exhaustive evaluation, for the sharded runs: the
-   assignments of lexicographic ranks [lo, hi) only, with the failure
-   witness carrying its global rank so per-shard firsts merge into the
-   global first by a minimum. Always the naive enumeration — the
-   quotient scan decides the whole space at once and cannot be
-   restricted to a rank interval — but through the same prepared
-   views and decide-once memo, so decides repeat across chunks at memo
-   cost. *)
+let certificate x = x.x_cert
+
+(* Scan every node's restrictions, stopping at the first rejection. *)
+let scan x =
+  Telemetry.Counter.incr c_scans;
+  let rec all_accept v =
+    v >= x.x_n
+    ||
+    let k = Array.length (Runner.ball_of x.x_prep v) in
+    (* Read-adaptive scan: each distinct behaviour of the decide on this
+       ball is computed once; restrictions that agree on the id slots
+       the decide actually reads are trie lookups. *)
+    let scan = Runner.restriction_scanner x.x_prep v in
+    let scanned = ref 0 in
+    let ok =
+      Orbit.for_all_injections ~bound:x.x_bound ~k (fun r ->
+          incr scanned;
+          scan r)
+    in
+    Orbit.add_scanned !scanned;
+    ok && all_accept (v + 1)
+  in
+  x.x_cert <- (if all_accept 0 then All_accept else Rejects)
+
 type range_evaluation = {
   rv_lo : int;
   rv_hi : int;
@@ -181,62 +181,75 @@ type range_evaluation = {
   rv_failure : (int * Ids.t * Verdict.t) option;
 }
 
-let evaluate_exhaustive_range ?prep ?backend ?memo ?memo_capacity ~bound ~lo
-    ~hi alg ~expected lg =
-  Telemetry.span "decider.evaluate_range" @@ fun () ->
-  let n = Locald_graph.Labelled.order lg in
-  let total = Orbit.perm ~bound ~k:n in
-  if lo < 0 || hi < lo || hi > total then
-    invalid_arg
-      (Printf.sprintf
-         "Decider.evaluate_exhaustive_range: range [%d,%d) outside [0,%d]" lo
-         hi total);
-  let prep =
-    match prep with
-    | Some p -> p
-    | None ->
-        let memo =
-          match memo with Some m -> m | None -> Memo.default_mode ()
-        in
-        Runner.prepare ~memo ?memo_capacity ?backend alg lg
+(* Every assignment in range is accepted. When that is wrong, the
+   witness the naive loop would report is the range's first assignment,
+   re-decided concretely so the stored verdict is the real run's. *)
+let certified x ~expected ~lo ~hi =
+  Telemetry.Counter.incr c_certified;
+  let span = hi - lo in
+  let failure =
+    if expected || span = 0 then None
+    else
+      match
+        Ids.enumerate_injections_from ~n:x.x_n ~bound:x.x_bound ~start:lo ()
+      with
+      | Seq.Nil -> None
+      | Seq.Cons (ids, _) ->
+          Some (lo, ids, Verdict.of_outputs (Runner.run_prepared x.x_prep ~ids))
   in
-  let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
-  let correct = ref 0 and wrong = ref 0 and failure = ref None in
-  let rest = ref (Ids.enumerate_injections_from ~n ~bound ~start:lo) in
-  let next_rank = ref lo in
-  while !next_rank < hi do
-    (* Same batching discipline as [tally]: force the chunk
-       sequentially, decide it in parallel, so results are identical
-       at any job count. *)
-    let want = min tally_chunk (hi - !next_rank) in
-    let buf = ref [] and got = ref 0 in
-    while !got < want do
-      match !rest () with
-      | Seq.Nil -> assert false (* hi <= total bounds the stream *)
-      | Seq.Cons (ids, tl) ->
-          buf := ids :: !buf;
-          incr got;
-          rest := tl
-    done;
-    let chunk = Array.of_list (List.rev !buf) in
-    let verdicts = Pool.map verdict_of chunk in
-    Array.iteri
-      (fun i verdict ->
-        if Verdict.accepts verdict = expected then incr correct
-        else begin
-          incr wrong;
-          if !failure = None then
-            failure := Some (!next_rank + i, chunk.(i), verdict)
-        end)
-      verdicts;
-    next_rank := !next_rank + want
-  done;
   {
     rv_lo = lo;
     rv_hi = hi;
-    rv_correct = !correct;
-    rv_wrong = !wrong;
-    rv_failure = !failure;
+    rv_correct = (if expected then span else 0);
+    rv_wrong = (if expected then 0 else span);
+    rv_failure = failure;
+  }
+
+let naive x ~expected ~lo ~hi =
+  x.x_spent <- x.x_spent + ((hi - lo) * x.x_n);
+  let _, correct, wrong, failure =
+    tally x.x_prep ~expected
+      (Seq.take (hi - lo)
+         (Ids.enumerate_injections_from ~n:x.x_n ~bound:x.x_bound ~start:lo))
+  in
+  {
+    rv_lo = lo;
+    rv_hi = hi;
+    rv_correct = correct;
+    rv_wrong = wrong;
+    rv_failure =
+      Option.map (fun (i, ids, verdict) -> (lo + i, ids, verdict)) failure;
+  }
+
+let evaluate_range x ~expected ~lo ~hi =
+  Telemetry.span "decider.evaluate_range" @@ fun () ->
+  if lo < 0 || hi < lo || hi > x.x_total then
+    invalid_arg
+      (Printf.sprintf "Decider.evaluate_range: range [%d,%d) outside [0,%d]" lo
+         hi x.x_total);
+  if
+    x.x_quotient && x.x_cert = Unknown
+    && x.x_spent + ((hi - lo) * x.x_n) >= x.x_scan_cost
+  then scan x;
+  match x.x_cert with
+  | All_accept -> certified x ~expected ~lo ~hi
+  | Unknown | Rejects -> naive x ~expected ~lo ~hi
+
+let evaluate_exhaustive ?quotient ?backend ?memo ?memo_capacity ~bound alg
+    ~expected ~instance lg =
+  Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
+  let x =
+    prepare_exhaustive ?quotient ?backend ?memo ?memo_capacity ~bound alg lg
+  in
+  let rv = evaluate_range x ~expected ~lo:0 ~hi:x.x_total in
+  {
+    instance;
+    n = x.x_n;
+    expected;
+    assignments = x.x_total;
+    correct = rv.rv_correct;
+    wrong = rv.rv_wrong;
+    failure = drop_rank rv.rv_failure;
   }
 
 let all_correct e = e.wrong = 0 && e.assignments > 0

@@ -7,7 +7,7 @@
     over assignments: [evaluate] samples (or exhausts) assignments
     valid under a regime and tallies the verdicts.
 
-    [evaluate] and [evaluate_exhaustive] decide batches of assignments
+    [evaluate] and the exhaustive engine decide batches of assignments
     on the {!Locald_runtime.Pool}; the algorithm's [decide] function
     must therefore be safe to call from several domains at once (pure
     functions and per-call local state are fine). Assignments are
@@ -54,32 +54,47 @@ val evaluate :
   evaluation
 (** Random assignments drawn from the regime. *)
 
-val evaluate_exhaustive :
+(** {1 Exhaustive evaluation}
+
+    Every injective assignment into [0 .. bound-1] (small instances
+    only), addressed by lexicographic rank in
+    {!Locald_local.Ids.enumerate_injections}'s order. One engine
+    answers every rank range [\[lo, hi)]: the whole space, a shard's
+    chunk, a serve request. *)
+
+type 'a exhaustive
+(** A prepared exhaustive engine: the instance's pre-extracted views
+    and decide-once memo ({!Locald_local.Runner.prepare}), the id
+    bound, and a {!certificate} of the ball-local assignment quotient
+    that, once known, answers every range. Mutable and single-domain:
+    callers evaluate one range at a time on one domain (the engine
+    parallelises inside a range on the {!Locald_runtime.Pool}; the
+    quotient scan runs on the calling domain). *)
+
+type certificate =
+  | Unknown     (** not scanned yet *)
+  | All_accept  (** every node accepts every restriction of its ball *)
+  | Rejects     (** some node rejects some restriction *)
+
+val prepare_exhaustive :
   ?quotient:bool ->
   ?backend:Backend.t ->
   ?memo:Locald_runtime.Memo.mode ->
   ?memo_capacity:int ->
   bound:int ->
   ('a, bool) Algorithm.t ->
-  expected:bool ->
-  instance:string ->
   'a Labelled.t ->
-  evaluation
-(** Every injective assignment into [0 .. bound-1] (small instances
-    only). With [quotient] (the default) the all-accept question is
-    first decided on the ball-local assignment quotient — per node,
-    every injective restriction of its ball
-    ({!Locald_runtime.Orbit.injections}) — which is exhaustive over
-    far fewer decides; the tallies then follow by counting arithmetic.
-    Whenever any node rejects any restriction, evaluation falls back
-    transparently to the naive assignment loop (with the decide-once
-    memo already warm), so the result — counts, and the first-failure
-    witness — is byte-identical to [quotient:false] in every case.
-    [memo] / [memo_capacity] configure the implicit preparation's
+  'a exhaustive
+(** Extract the views once. [memo] / [memo_capacity] configure the
     decide-once table explicitly (default:
     {!Locald_runtime.Memo.default_mode}, unbounded) — the per-request
     form long-lived services use instead of mutating the session
-    default. All memo configurations are digest-transparent. *)
+    default. [quotient:false] (default [true]) never scans: every range
+    runs the naive assignment loop, the reference the quotient is
+    tested against.
+    @raise Locald_local.Ids.Invalid_ids if [bound] is below the order. *)
+
+val certificate : 'a exhaustive -> certificate
 
 type range_evaluation = {
   rv_lo : int;
@@ -91,28 +106,42 @@ type range_evaluation = {
           lexicographic rank *)
 }
 
-val evaluate_exhaustive_range :
-  ?prep:('a, bool) Runner.prepared ->
+val evaluate_range :
+  'a exhaustive -> expected:bool -> lo:int -> hi:int -> range_evaluation
+(** The assignments of ranks [\[lo, hi)] only. Any family of ranges
+    that tiles [\[0, total)] sums (counts) and minimises (failure
+    rank) to exactly [evaluate_exhaustive]'s answer, and every range
+    is byte-identical — counts and failure witness — to the naive loop
+    under [quotient:false], at any memo mode and job count.
+
+    By locality a node's output depends only on the ids in its ball,
+    so the engine decides the all-accept question once for the whole
+    space by scanning each node's injective ball restrictions
+    ({!Locald_runtime.Orbit.for_all_injections}), [Σ_v perm bound
+    |ball v|] decides. While the certificate is [Unknown], a range
+    runs the naive loop until the naive decides spent by this engine,
+    this range's [(hi - lo) · n] included, reach that scan size; then
+    the range scans first. Under [All_accept] a range is answered by
+    arithmetic (a wrong expectation re-decides only the range's first
+    assignment, as its witness); under [Rejects] every range runs the
+    naive loop. Counters: [decider.scans] per scan, [decider.certified]
+    per range answered by arithmetic.
+    @raise Invalid_argument on a range outside [\[0, total\]]. *)
+
+val evaluate_exhaustive :
+  ?quotient:bool ->
   ?backend:Backend.t ->
   ?memo:Locald_runtime.Memo.mode ->
   ?memo_capacity:int ->
   bound:int ->
-  lo:int ->
-  hi:int ->
   ('a, bool) Algorithm.t ->
   expected:bool ->
+  instance:string ->
   'a Labelled.t ->
-  range_evaluation
-(** The assignments of lexicographic ranks [\[lo, hi)] of
-    {!Locald_local.Ids.enumerate_injections}'s order only — the
-    range-restricted entry point the sharded exhaustive runs
-    partition on. Any family of ranges that tiles [\[0, total)] sums
-    (counts) and minimises (failure rank) to exactly
-    [evaluate_exhaustive]'s answer. Pass [prep] to share one
-    prepared-view/memo structure across many ranges within a process;
-    without it, [memo] / [memo_capacity] configure the implicit
-    preparation as in {!evaluate_exhaustive}.
-    @raise Invalid_argument on a range outside [\[0, total\]]. *)
+  evaluation
+(** [evaluate_range] of a fresh engine over the whole rank space
+    [\[0, perm bound n)]. Its cost always reaches the scan size, so
+    with [quotient] (the default) it scans at once. *)
 
 val all_correct : evaluation -> bool
 

@@ -479,6 +479,97 @@ let prop_memo_transparent =
       transparent (weighed_alg 3) false
       && transparent (Algorithm.make ~name:"yes" ~radius:1 (fun _ -> true)) true)
 
+(* The exhaustive engine against the naive reference, range by range.
+   One engine serves a shuffled tiling of the rank space plus stray
+   ranges, so its certificate starts Unknown (small ranges run naive),
+   is scanned once the spent decides reach the scan size, and answers
+   the rest as All_accept or Rejects; every answer must equal the
+   [quotient:false] range in counts and in failure rank, ids and
+   verdict, and the tiling must fold to [evaluate_exhaustive]. *)
+let prop_engine_ranges =
+  QCheck2.Test.make ~name:"engine ranges = naive ranges" ~count:40
+    QCheck2.Gen.(
+      quad gen_labelled (int_bound 1_000_000) bool
+        (oneofl [ Memo.Off; Memo.Exact_ids ]))
+    (fun (lg, seed, expected, memo) ->
+      let bound = Labelled.order lg + 1 in
+      let st = Random.State.make [| seed |] in
+      let check_alg alg final =
+        let engine = Decider.prepare_exhaustive ~memo ~bound alg lg in
+        let naive =
+          Decider.prepare_exhaustive ~quotient:false ~memo:Memo.Off ~bound alg
+            lg
+        in
+        let total =
+          Locald_runtime.Orbit.perm ~bound ~k:(Labelled.order lg)
+        in
+        (* A tiling with random cut points, shuffled, interleaved with
+           ranges anywhere in the space. *)
+        let cuts =
+          List.sort_uniq compare
+            (0 :: total
+            :: List.init (1 + Random.State.int st 12) (fun _ ->
+                   Random.State.int st (total + 1)))
+        in
+        let rec pieces = function
+          | a :: (b :: _ as rest) -> (a, b) :: pieces rest
+          | _ -> []
+        in
+        let tiling = pieces cuts in
+        let stray =
+          List.init (Random.State.int st 6) (fun _ ->
+              let a = Random.State.int st (total + 1)
+              and b = Random.State.int st (total + 1) in
+              (min a b, max a b))
+        in
+        let ranges =
+          List.map snd
+            (List.sort compare
+               (List.map
+                  (fun r -> (Random.State.bits st, r))
+                  (List.map (fun r -> (true, r)) tiling
+                  @ List.map (fun r -> (false, r)) stray)))
+        in
+        let answers =
+          List.map
+            (fun (in_tiling, (lo, hi)) ->
+              let got = Decider.evaluate_range engine ~expected ~lo ~hi in
+              let want = Decider.evaluate_range naive ~expected ~lo ~hi in
+              (in_tiling, got, got = want))
+            ranges
+        in
+        let folded =
+          List.fold_left
+            (fun (c, w, f) (in_tiling, rv, _) ->
+              if not in_tiling then (c, w, f)
+              else
+                ( c + rv.Decider.rv_correct,
+                  w + rv.Decider.rv_wrong,
+                  match (f, rv.Decider.rv_failure) with
+                  | Some (r, _, _), Some (r', _, _) when r <= r' -> f
+                  | _, None -> f
+                  | _, g -> g ))
+            (0, 0, None) answers
+        in
+        let whole =
+          Decider.evaluate_exhaustive ~quotient:false ~memo:Memo.Off ~bound alg
+            ~expected ~instance:"prop" lg
+        in
+        let c, w, f = folded in
+        List.for_all (fun (_, _, same) -> same) answers
+        && c = whole.Decider.correct
+        && w = whole.Decider.wrong
+        && Option.map (fun (_, ids, v) -> (ids, v)) f = whole.Decider.failure
+        && Decider.certificate engine = final
+        && Decider.certificate naive = Decider.Unknown
+      in
+      (* The tiling alone spends [total * n] decides, past the scan
+         size, so both engines end certified. *)
+      check_alg (weighed_alg 3) Decider.Rejects
+      && check_alg
+           (Algorithm.make ~name:"yes" ~radius:1 (fun _ -> true))
+           Decider.All_accept)
+
 let prop_quotient_variance =
   QCheck2.Test.make ~name:"quotient variance iff naive variance" ~count:25
     gen_labelled (fun lg ->
@@ -520,7 +611,7 @@ let quotient_cases =
   Alcotest.test_case "refuted transparent under memo" `Quick
     test_refuted_memo_transparent
   :: List.map QCheck_alcotest.to_alcotest
-       [ prop_memo_transparent; prop_quotient_variance ]
+       [ prop_memo_transparent; prop_engine_ranges; prop_quotient_variance ]
 
 let () =
   Alcotest.run "decision"

@@ -307,12 +307,19 @@ let metrics_counter fd name =
       | _ -> Alcotest.failf "no %S counter in metrics" name)
   | None -> Alcotest.fail "metrics response carries no result"
 
+(* The one-shot answer: a fresh closure over the whole rank space. *)
 let oneshot_digest ?backend name =
   let w = Option.get (Sweeps.find name) in
-  Sweeps.digest (w.Sweeps.w_unsharded ?backend ())
+  let total = (w.Sweeps.w_geometry ()).Sweeps.g_total in
+  let r = w.Sweeps.w_eval ?backend () ~lo:0 ~hi:total in
+  Shard.result_digest ~correct:r.Shard.r_correct ~wrong:r.Shard.r_wrong
+    ~assignments:total
+
+(* BENCH_quick.json's committed exhaustive-decider@j1 digest. *)
+let quick_pin = "d597685e1567bb9b95cfe6a1bf9f1209"
 
 let test_decide_matches_oneshot_and_memoises () =
-  let (d1, d2, hits1, hits2), _stats =
+  let (d1, d2, (decides1, certified1), (decides2, certified2)), _stats =
     with_server (fun path _drain ->
         let fd = Proto.connect_unix path in
         Fun.protect
@@ -320,22 +327,28 @@ let test_decide_matches_oneshot_and_memoises () =
           (fun () ->
             let req = Proto.request ~workload:"exhaustive-decider" ~id:5
                 Proto.Decide in
+            let counters () =
+              ( metrics_counter fd "runner.decides",
+                metrics_counter fd "decider.certified" )
+            in
             let r1 = rpc fd req in
-            let hits1 = metrics_counter fd "memo.hits" in
+            let c1 = counters () in
             let r2 = rpc fd req in
-            let hits2 = metrics_counter fd "memo.hits" in
+            let c2 = counters () in
             (* The repeated request is byte-identical, not merely
                digest-equal: responses carry no timestamps. *)
             check string "responses byte-identical" (Json.to_string r1)
               (Json.to_string r2);
-            (result_digest r1, result_digest r2, hits1, hits2)))
+            (result_digest r1, result_digest r2, c1, c2)))
   in
   check string "daemon digest = one-shot digest"
     (oneshot_digest "exhaustive-decider") d1;
+  check string "daemon digest = quick-tier pin" quick_pin d1;
   check string "repeat digest" d1 d2;
-  (* The warm engine answers the second request from its memo table. *)
-  if hits2 <= hits1 then
-    Alcotest.failf "no cross-request memo hits (%d -> %d)" hits1 hits2
+  (* The warm engine answers the second request from its quotient
+     certificate: no decide at all, one more certified range. *)
+  check int "repeat request decides nothing" decides1 decides2;
+  check int "repeat request certified" (certified1 + 1) certified2
 
 let test_concurrent_clients_distinct_configs () =
   let async_backend seed =

@@ -179,9 +179,17 @@ let with_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
 
+(* A workload's whole answer: one fresh closure over [0, total). *)
+let full_range w =
+  let total = (w.Sweeps.w_geometry ()).Sweeps.g_total in
+  let r = w.Sweeps.w_eval () ~lo:0 ~hi:total in
+  ( Shard.result_digest ~correct:r.Shard.r_correct ~wrong:r.Shard.r_wrong
+      ~assignments:total,
+    r )
+
 let test_shard_merge_equals_unsharded () =
   let g = a1.Sweeps.w_geometry () in
-  let reference = Sweeps.digest (a1.Sweeps.w_unsharded ()) in
+  let reference, _ = full_range a1 in
   List.iter
     (fun jobs ->
       with_jobs jobs @@ fun () ->
@@ -229,13 +237,9 @@ let test_new_workload_digest_pins () =
         | Some w -> w
         | None -> Alcotest.failf "workload %s not registered" name
       in
-      let e = w.Sweeps.w_unsharded () in
-      check string
-        (Printf.sprintf "%s unsharded digest pin" name)
-        pin (Sweeps.digest e);
-      check int
-        (Printf.sprintf "%s zero wrong" name)
-        0 e.Locald_decision.Decider.wrong;
+      let digest, r = full_range w in
+      check string (Printf.sprintf "%s unsharded digest pin" name) pin digest;
+      check int (Printf.sprintf "%s zero wrong" name) 0 r.Shard.r_wrong;
       let g = w.Sweeps.w_geometry () in
       List.iter
         (fun shards ->
