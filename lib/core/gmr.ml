@@ -248,76 +248,33 @@ let size t = Graph.size (Labelled.graph t.lg)
    lists. *)
 let iso_dedupe_threshold = 400
 
-(* Canonical keys are computed for all views in parallel; the bucketing
-   itself stays sequential in input order so class representatives come
-   out identical at any job count. The bucket key reproduces the
-   historical [(signature, order, size)] triple exactly ([Canon]'s
-   fingerprint is [Iso.view_signature] by construction). *)
-let keyed_views views =
+(* Canonical keys are computed for all views in parallel; the class
+   table is filled sequentially in input order so class representatives
+   come out identical at any job count, and they are reported in the
+   historical order of a table keyed by the [(signature, order, size)]
+   triple ([Canon]'s fingerprint is [Iso.view_signature] by
+   construction). [~exact_threshold] reproduces the historical big-view
+   regime: above the threshold any view of equal signature, order and
+   size counts as a duplicate. *)
+let classes_of views =
   let canon = Canon.create ~equal:equal_label () in
   let views = Array.of_list views in
   let keys = Pool.map (Canon.key canon) views in
-  (canon, Array.map2 (fun view key -> (view, key)) views keys)
-
-let bucket_key key view =
-  (Canon.fingerprint key, View.order view, Graph.size view.View.graph)
+  let classes = Canon.classes ~exact_threshold:iso_dedupe_threshold canon in
+  Array.iter2 (fun view key -> ignore (Canon.add classes key view)) views keys;
+  (canon, classes)
 
 let dedupe_views views =
-  let canon, keyed = keyed_views views in
-  let classes = Hashtbl.create 256 in
-  Array.iter
-    (fun (view, key) ->
-      let s = bucket_key key view in
-      let bucket =
-        match Hashtbl.find_opt classes s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace classes s b;
-            b
-      in
-      (* Members of a bucket agree on fingerprint, order and size, so
-         [~exact_threshold] reproduces the historical big-view regime:
-         above the threshold any bucket member counts as a duplicate. *)
-      let duplicate =
-        List.exists
-          (fun (_, k) ->
-            Canon.equivalent ~exact_threshold:iso_dedupe_threshold canon key k)
-          !bucket
-      in
-      if not duplicate then bucket := (view, key) :: !bucket)
-    keyed;
-  Hashtbl.fold (fun _ b acc -> List.map fst !b @ acc) classes []
+  let _, classes = classes_of views in
+  Canon.representatives classes ~bucket:(fun key ->
+      let view = Canon.view key in
+      (Canon.fingerprint key, View.order view, Graph.size view.View.graph))
+  |> List.map snd
 
 let views_covered views ~by =
-  let canon, keyed_by = keyed_views by in
-  let buckets = Hashtbl.create 256 in
-  Array.iter
-    (fun (view, key) ->
-      let s = bucket_key key view in
-      let bucket =
-        match Hashtbl.find_opt buckets s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace buckets s b;
-            b
-      in
-      bucket := key :: !bucket)
-    keyed_by;
-  let _, keyed = keyed_views views in
+  let canon, classes = classes_of by in
   let flags =
-    Pool.map
-      (fun (view, key) ->
-        match Hashtbl.find_opt buckets (bucket_key key view) with
-        | None -> false
-        | Some b ->
-            List.exists
-              (fun k ->
-                Canon.equivalent ~exact_threshold:iso_dedupe_threshold canon key
-                  k)
-              !b)
-      keyed
+    Pool.map (fun view -> Canon.mem classes (Canon.key canon view)) (Array.of_list views)
   in
   let covered = Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 flags in
   let total = Array.length flags in

@@ -95,38 +95,25 @@ let coverage p ~t =
   let d = Ti.depth p in
   let arity = p.Ti.arity in
   let n = Labelled.order tr in
-  let canon = Canon.create ~equal:( = ) () in
+  (* No memo: every view of T_r is keyed once, so its table would only
+     retain them all. *)
+  let canon = Canon.create ~cache:false ~equal:( = ) () in
   (* Extract and canonically key every view of T_r in parallel, then
      deduplicate sequentially in ascending node order — the class
      representatives (and hence the uncovered witness) are the same at
-     any job count. The canonical fingerprint equals the historical
-     [Iso.view_signature] bucketing, and within a bucket [equivalent]
-     decides exactly what the backtracking iso test decided. *)
-  let keyed =
+     any job count, and are reported in the historical order of a
+     fingerprint-keyed table ([Canon]'s fingerprint is
+     [Iso.view_signature]). *)
+  let keys =
     Pool.map
-      (fun v -> (View.extract tr ~center:v ~radius:t, v))
+      (fun v -> Canon.key canon (View.extract tr ~center:v ~radius:t))
       (Pool.init_in_order n Fun.id)
   in
-  let keys = Pool.map (fun (view, _) -> Canon.key canon view) keyed in
-  let classes : (int, (Ti.label Canon.key * int) list ref) Hashtbl.t =
-    Hashtbl.create 256
+  let classes = Canon.classes canon in
+  Array.iteri (fun v key -> ignore (Canon.add classes key v)) keys;
+  let representatives =
+    Canon.representatives classes ~bucket:Canon.fingerprint
   in
-  Array.iteri
-    (fun i (_, v) ->
-      let key = keys.(i) in
-      let s = Canon.fingerprint key in
-      let bucket =
-        match Hashtbl.find_opt classes s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace classes s b;
-            b
-      in
-      if not (List.exists (fun (k, _) -> Canon.equivalent canon key k) !bucket)
-      then bucket := (key, v) :: !bucket)
-    keyed;
-  let representatives = Hashtbl.fold (fun _ b acc -> !b @ acc) classes [] in
   (* Decide-once cache of the small instances and the big-index ->
      cone-index maps, shared across the parallel coverage checks below.
      Each representative retries up to [r + 1] cone levels and distinct

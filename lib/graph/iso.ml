@@ -8,26 +8,36 @@
    partial map so that edges *and* non-edges are preserved at every
    extension step. *)
 
-type key = int * int list
+(* Sort [a.(lo) .. a.(hi - 1)] ascending in place: insertion sort for
+   the short slices that neighbour lists almost always are. *)
+let sort_slice (a : int array) lo hi =
+  if hi - lo > 24 then begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+  else
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
-let round_keys g colors =
-  Array.mapi
-    (fun v c ->
-      let nbr = Array.map (fun u -> colors.(u)) (Graph.neighbours g v) in
-      Array.sort compare nbr;
-      ((c, Array.to_list nbr) : key))
-    colors
-
-let canonical_renumber (keyss : key array list) : int array list =
-  let all = List.concat_map Array.to_list keyss in
-  let distinct = List.sort_uniq compare all in
-  let tbl = Hashtbl.create (2 * List.length distinct) in
-  List.iteri (fun i k -> Hashtbl.replace tbl k i) distinct;
-  List.map (Array.map (fun k -> Hashtbl.find tbl k)) keyss
-
-let count_distinct colors =
-  let module S = Set.Make (Int) in
-  S.cardinal (Array.fold_left (fun s c -> S.add c s) S.empty colors)
+(* Number the vertices by the rank of their key: sort [idx] by [cmp],
+   then give equal keys equal numbers and consecutive distinct keys
+   consecutive numbers, so colour [i] is the [i]-th smallest key. *)
+let renumber idx cmp dst =
+  Array.stable_sort cmp idx;
+  let r = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if i > 0 && cmp idx.(i - 1) v <> 0 then incr r;
+      dst.(v) <- !r)
+    idx
 
 (* Jointly refine the colourings of several graphs until the total
    number of distinct colours stabilises — but at most a fixed number
@@ -39,22 +49,93 @@ let count_distinct colors =
    perform the same rounds). *)
 let max_refinement_rounds = 6
 
+(* The graphs are laid side by side in one flat vertex space (graph [i]
+   owns [base.(i) .. base.(i+1) - 1]) with CSR neighbour slices, so a
+   round is a handful of int-array passes. A round's key for vertex [v]
+   is (colour, sorted neighbour colours); vertices are sorted by key —
+   colour first, then the neighbour colours lexicographically, a proper
+   prefix first — and renumbered by key rank across all graphs at once,
+   so colour numbers are comparable between the graphs. The initial
+   colours are renumbered the same way, so arbitrary values (hashes)
+   become comparable. A round that leaves the sum over graphs of the
+   per-graph distinct-colour counts unchanged is the last. *)
 let refine_joint (pairs : (Graph.t * int array) list) : int array list =
-  let graphs = List.map fst pairs in
-  let rec go rounds colorss =
-    if rounds >= max_refinement_rounds then colorss
-    else
-      let keyss = List.map2 round_keys graphs colorss in
-      let colorss' = canonical_renumber keyss in
-      let total cs = List.fold_left (fun acc c -> acc + count_distinct c) 0 cs in
-      if total colorss' = total colorss then colorss' else go (rounds + 1) colorss'
+  let graphs = Array.of_list (List.map fst pairs) in
+  let k = Array.length graphs in
+  let base = Array.make (k + 1) 0 in
+  Array.iteri (fun i g -> base.(i + 1) <- base.(i) + Graph.order g) graphs;
+  let n = base.(k) in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i g ->
+      for u = 0 to Graph.order g - 1 do
+        let v = base.(i) + u in
+        off.(v + 1) <- off.(v) + Graph.degree g u
+      done)
+    graphs;
+  let nbr = Array.make off.(n) 0 in
+  Array.iteri
+    (fun i g ->
+      for u = 0 to Graph.order g - 1 do
+        let o = off.(base.(i) + u) in
+        Array.iteri (fun j w -> nbr.(o + j) <- base.(i) + w) (Graph.neighbours g u)
+      done)
+    graphs;
+  let raw = Array.make n 0 in
+  List.iteri (fun i (_, c) -> Array.blit c 0 raw base.(i) (Array.length c)) pairs;
+  let idx = Array.init n Fun.id in
+  let cur = ref (Array.make n 0) in
+  renumber idx (fun a b -> Int.compare raw.(a) raw.(b)) !cur;
+  let seen = Array.make n (-1) in
+  let total_distinct colors =
+    Array.fill seen 0 n (-1);
+    let s = ref 0 in
+    for i = 0 to k - 1 do
+      for v = base.(i) to base.(i + 1) - 1 do
+        if seen.(colors.(v)) <> i then begin
+          seen.(colors.(v)) <- i;
+          incr s
+        end
+      done
+    done;
+    !s
   in
-  (* Renumber the initial colours canonically as well, so arbitrary
-     initial colour values (e.g. hashes) become comparable. *)
-  let init =
-    canonical_renumber (List.map (fun (_, c) -> Array.map (fun x -> (x, [])) c) pairs)
+  let nc = Array.make off.(n) 0 in
+  let key_compare col a b =
+    match Int.compare col.(a) col.(b) with
+    | 0 ->
+        let oa = off.(a) and ob = off.(b) in
+        let la = off.(a + 1) - oa and lb = off.(b + 1) - ob in
+        let rec lex j =
+          if j >= la || j >= lb then Int.compare la lb
+          else
+            match Int.compare nc.(oa + j) nc.(ob + j) with
+            | 0 -> lex (j + 1)
+            | c -> c
+        in
+        lex 0
+    | c -> c
   in
-  go 0 init
+  let rec go rounds total =
+    (* One graph already discrete: the next round renumbers every vertex
+       to its own colour, so it can be skipped. *)
+    if rounds < max_refinement_rounds && not (k = 1 && total = n) then begin
+      let col = !cur in
+      for j = 0 to off.(n) - 1 do
+        nc.(j) <- col.(nbr.(j))
+      done;
+      for v = 0 to n - 1 do
+        sort_slice nc off.(v) off.(v + 1)
+      done;
+      let next = Array.make n 0 in
+      renumber idx (key_compare col) next;
+      cur := next;
+      let total' = total_distinct next in
+      if total' <> total then go (rounds + 1) total'
+    end
+  in
+  go 0 (total_distinct !cur);
+  Array.to_list (Array.init k (fun i -> Array.sub !cur base.(i) (base.(i + 1) - base.(i))))
 
 let refine_colors g colors =
   match refine_joint [ (g, colors) ] with

@@ -50,6 +50,16 @@ val decorated_signature : ('a -> int) -> 'a View.t -> int array -> int
     colours; invariant under {!views_isomorphic_decorated}. *)
 
 val refine_colors : Graph.t -> int array -> int array
-(** One-graph 1-WL colour refinement to a fixpoint, with canonical
-    colour numbering: the output colours of isomorphic coloured graphs
-    are equal as multisets. Exposed for tests. *)
+(** One-graph 1-WL colour refinement, with canonical colour numbering:
+    the output colours of isomorphic coloured graphs are equal as
+    multisets, and each colour is the rank of its refinement key, so a
+    discrete refinement numbers the vertices [0 .. n-1]. Stops when a
+    round leaves the number of distinct colours unchanged, or after 6
+    rounds. *)
+
+val refine_joint : (Graph.t * int array) list -> int array list
+(** {!refine_colors} over several graphs at once: colours are numbered
+    jointly, so equal numbers mean equal keys across the graphs, and the
+    stopping rule watches the sum of the per-graph distinct counts. The
+    pruning colouring of the backtracking search; exposed for the
+    differential tests against the list-based reference. *)

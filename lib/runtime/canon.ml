@@ -1,24 +1,25 @@
-(* Canonical keys for rooted labelled views, with a memo table.
+(* Canonical keys for rooted labelled views, with a memo table and a
+   class table.
 
    A key packages (a) the iso-invariant refinement fingerprint — the
    same value as [Iso.view_signature], pinned by a test — and (b),
    whenever the 1-WL refinement of the view is discrete (every vertex
-   its own colour), an exact canonical form: vertices renumbered in
-   colour order, centre rank, labels in rank order, sorted rank-space
-   edge list. Two views with discrete refinements are isomorphic iff
-   their forms are equal, so the expensive backtracking test reduces to
-   a linear comparison; when either refinement is not discrete,
-   [equivalent] falls back transparently to [Iso.views_isomorphic] —
-   cache and canonicalisation can never change an answer, only the
-   route to it.
+   its own colour), an exact canonical form: vertices renumbered by
+   colour, centre rank, labels in rank order, sorted rank-pair edge
+   codes, plus a full hash of that form. Two views with discrete
+   refinements are isomorphic iff their forms are equal, so the
+   expensive backtracking test reduces to a linear comparison; when
+   either refinement is not discrete, [equivalent] falls back
+   transparently to [Iso.views_isomorphic] — cache and
+   canonicalisation can never change an answer, only the route to it.
 
    The memo table keys computed keys by a structural digest of the raw
    view (collisions resolved by [View.equal_repr]), so repeated
-   canonicalisation of equal extractions — the common case in coverage
-   enumeration, where the same candidate views recur across cone
-   levels — becomes a hash lookup. All entry points are thread-safe:
-   the table is mutex-guarded and the counters are atomics, because
-   keys are typically computed under [Pool.map]. *)
+   canonicalisation of equal extractions becomes a hash lookup. It
+   pays where views recur (the [Gmr] dedupes); a caller that keys each
+   view once turns it off. All key entry points are thread-safe: the
+   table is mutex-guarded and the counters are atomics, because keys
+   are typically computed under [Pool.map]. *)
 
 open Locald_graph
 
@@ -52,10 +53,13 @@ let run_stats () =
     fallback = Telemetry.Counter.get g_fallback;
   }
 
+(* A discrete refinement numbers the vertices [0 .. n-1], so the colour
+   of a vertex is its rank; [f_edges] holds each edge as the code
+   [a * n + b] of its rank pair [a < b], sorted ascending. *)
 type 'a form = {
   f_center : int;
   f_labels : 'a array;
-  f_edges : (int * int) list;
+  f_edges : int array;
 }
 
 type 'a key = {
@@ -63,6 +67,7 @@ type 'a key = {
   k_order : int;
   k_size : int;
   k_form : 'a form option;
+  k_form_hash : int;
   k_view : 'a View.t;
 }
 
@@ -116,6 +121,22 @@ let raw_digest t (v : 'a View.t) =
   done;
   !h land max_int
 
+(* The form hash of a key without an exact form; real form hashes are
+   non-negative. *)
+let no_form = -1
+
+let mix h x = (h lxor x) * 0x100000001b3
+
+(* A full hash of an exact form — every label and every edge code, not
+   the bounded prefix [Hashtbl.hash] reads — so that equal forms hash
+   equally ([label_hash] respects [label_equal]) and distinct forms
+   almost never do. *)
+let form_hash t f =
+  let h = ref (mix 0xcbf29ce4 f.f_center) in
+  Array.iter (fun x -> h := mix !h (t.label_hash x)) f.f_labels;
+  Array.iter (fun e -> h := mix !h e) f.f_edges;
+  !h land max_int
+
 let compute t (view : 'a View.t) =
   let g = view.View.graph in
   let n = Graph.order g in
@@ -125,37 +146,33 @@ let compute t (view : 'a View.t) =
   in
   let final = Iso.refine_colors g init in
   let multiset = Array.copy final in
-  Array.sort compare multiset;
+  Array.sort Int.compare multiset;
   (* Same formula as [Iso.view_signature] (pinned by a test), so code
      that buckets by signature keeps its exact bucket boundaries. *)
   let fp =
     Hashtbl.hash (final.(view.View.center), Array.to_list multiset, Graph.size g)
   in
-  let discrete =
-    let rec distinct i = i >= n - 1 || (multiset.(i) <> multiset.(i + 1) && distinct (i + 1)) in
-    distinct 0
-  in
+  (* Colours are key ranks, so n vertices are discrete iff the largest
+     colour is n - 1. *)
   let form =
-    if not discrete then None
+    if n > 0 && multiset.(n - 1) <> n - 1 then None
     else begin
-      let order = Array.init n Fun.id in
-      Array.sort (fun a b -> compare final.(a) final.(b)) order;
-      let rank = Array.make n 0 in
-      Array.iteri (fun i v -> rank.(v) <- i) order;
-      let edges =
-        List.map
-          (fun (u, v) ->
-            let a = rank.(u) and b = rank.(v) in
-            if a < b then (a, b) else (b, a))
-          (Graph.edges g)
-        |> List.sort compare
-      in
-      Some
-        {
-          f_center = rank.(view.View.center);
-          f_labels = Array.map (fun v -> view.View.labels.(v)) order;
-          f_edges = edges;
-        }
+      let labels = Array.make n view.View.labels.(0) in
+      Array.iteri (fun v c -> labels.(c) <- view.View.labels.(v)) final;
+      let edges = Array.make (Graph.size g) 0 in
+      let e = ref 0 in
+      for u = 0 to n - 1 do
+        Array.iter
+          (fun w ->
+            if u < w then begin
+              let a = final.(u) and b = final.(w) in
+              edges.(!e) <- (if a < b then (a * n) + b else (b * n) + a);
+              incr e
+            end)
+          (Graph.neighbours g u)
+      done;
+      Array.sort Int.compare edges;
+      Some { f_center = final.(view.View.center); f_labels = labels; f_edges = edges }
     end
   in
   {
@@ -163,6 +180,7 @@ let compute t (view : 'a View.t) =
     k_order = n;
     k_size = Graph.size g;
     k_form = form;
+    k_form_hash = (match form with Some f -> form_hash t f | None -> no_form);
     k_view = view;
   }
 
@@ -196,15 +214,16 @@ let key t view =
   end
 
 let forms_equal t fa fb =
+  let n = Array.length fa.f_labels and m = Array.length fa.f_edges in
   fa.f_center = fb.f_center
-  && Array.length fa.f_labels = Array.length fb.f_labels
-  && fa.f_edges = fb.f_edges
+  && n = Array.length fb.f_labels
+  && m = Array.length fb.f_edges
   &&
-  let n = Array.length fa.f_labels in
+  let rec edges i = i >= m || (fa.f_edges.(i) = fb.f_edges.(i) && edges (i + 1)) in
   let rec labels i =
     i >= n || (t.label_equal fa.f_labels.(i) fb.f_labels.(i) && labels (i + 1))
   in
-  labels 0
+  edges 0 && labels 0
 
 let equivalent ?(exact_threshold = max_int) t ka kb =
   ka.k_fingerprint = kb.k_fingerprint
@@ -245,3 +264,73 @@ let decorated t =
     s_exact = Atomic.make 0;
     s_fallback = Atomic.make 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Class table                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Fingerprint buckets are coarse: [Hashtbl.hash] reads only a bounded
+   prefix of the sorted colour list, which for a discrete refinement is
+   always [0; 1; 2; ...], so the 8,191 view classes of f1-coverage-scale
+   share 212 fingerprints. The table indexes keys by a finer slot —
+   fingerprint, order, size and the form hash — so an exact key meets
+   only the classes whose forms hash alike. Keys without a form, and
+   every key above [exact_threshold], share the [no_form] slot of their
+   (fingerprint, order, size) and are resolved there by [equivalent]
+   as before. Equivalent keys always share a slot, so the table finds
+   exactly the classes the pairwise scan found. *)
+type ('a, 'b) classes = {
+  c_canon : 'a t;
+  c_threshold : int;
+  c_index : (int * int * int * int, ('a key * 'b) list ref) Hashtbl.t;
+  mutable c_reps : ('a key * 'b) list;  (* newest first *)
+}
+
+let classes ?(exact_threshold = max_int) canon =
+  {
+    c_canon = canon;
+    c_threshold = exact_threshold;
+    c_index = Hashtbl.create 256;
+    c_reps = [];
+  }
+
+let slot c k =
+  ( k.k_fingerprint,
+    k.k_order,
+    k.k_size,
+    if k.k_order > c.c_threshold then no_form else k.k_form_hash )
+
+let in_bucket c bucket k =
+  List.exists
+    (fun (r, _) -> equivalent ~exact_threshold:c.c_threshold c.c_canon k r)
+    bucket
+
+let mem c k =
+  match Hashtbl.find_opt c.c_index (slot c k) with
+  | None -> false
+  | Some b -> in_bucket c !b k
+
+let add c k x =
+  let s = slot c k in
+  let fresh b =
+    b := (k, x) :: !b;
+    c.c_reps <- (k, x) :: c.c_reps;
+    true
+  in
+  match Hashtbl.find_opt c.c_index s with
+  | None ->
+      let b = ref [] in
+      Hashtbl.replace c.c_index s b;
+      fresh b
+  | Some b -> (not (in_bucket c !b k)) && fresh b
+
+let representatives c ~bucket =
+  let buckets = Hashtbl.create 256 in
+  List.iter
+    (fun ((k, _) as rep) ->
+      let b = bucket k in
+      match Hashtbl.find_opt buckets b with
+      | Some l -> l := rep :: !l
+      | None -> Hashtbl.replace buckets b (ref [ rep ]))
+    (List.rev c.c_reps);
+  Hashtbl.fold (fun _ l acc -> !l @ acc) buckets []

@@ -1,20 +1,34 @@
-(** Canonical keys for rooted labelled views, memoised.
+(** Canonical keys for rooted labelled views, a memo table over them,
+    and a class table that deduplicates views up to isomorphism.
 
     Coverage enumeration asks the same question millions of times: are
     these two stripped views isomorphic as rooted labelled graphs?
     [key] canonicalises a view once — refinement fingerprint (equal to
     {!Locald_graph.Iso.view_signature} by construction, pinned by a
     test) plus, when the refinement is discrete, an exact canonical
-    form — after which {!equivalent} is a linear comparison instead of
-    a backtracking search, and repeated canonicalisations of equal
-    extractions are hash lookups in the memo table.
+    form and a full hash of it — after which {!equivalent} is a linear
+    comparison instead of a backtracking search, and repeated
+    canonicalisations of equal extractions are hash lookups in the memo
+    table.
+
+    The fingerprint is a coarse bucket: [Hashtbl.hash] reads only a
+    bounded prefix of the sorted colour list, which for a discrete
+    refinement is always [0; 1; 2; ...] (f1-coverage-scale's 8,191
+    classes share 212 fingerprints). The {!classes} table therefore
+    indexes exact keys by fingerprint, order, size and form hash, so
+    deduplicating [n] views costs [n] lookups rather than a scan of
+    every class in a fingerprint bucket; keys without a form, and keys
+    above [exact_threshold], share a sentinel form hash and keep the
+    {!equivalent} fallback.
 
     Transparent-fallback contract: whenever the canonical route cannot
     decide exactly (non-discrete refinement), [equivalent] falls back
     to {!Locald_graph.Iso.views_isomorphic}; with the cache on or off
-    the answers are identical (property-tested). [hash] must respect
-    [equal] (equal labels hash equally), the same contract as
-    [Iso.view_signature]. All entry points are thread-safe. *)
+    the answers are identical (property-tested), and the class table
+    finds the classes a pairwise scan finds (property-tested). [hash]
+    must respect [equal] (equal labels hash equally), the same contract
+    as [Iso.view_signature]. [key], [equivalent] and {!mem} are
+    thread-safe. *)
 
 open Locald_graph
 
@@ -68,6 +82,35 @@ val run_stats : unit -> stats
 (** Totals over every table, scoped to the ambient telemetry run
     (counters [canon.*]) — what [locald --stats] and the bench JSON
     surface. [Telemetry.new_run] restarts the tally. *)
+
+(** {1 Class table}
+
+    Deduplication of keys up to {!equivalent}, in input order. *)
+
+type ('a, 'b) classes
+(** Classes of keys, each held by its first key (the representative)
+    and that key's payload of type ['b]. *)
+
+val classes : ?exact_threshold:int -> 'a t -> ('a, 'b) classes
+(** An empty table over keys of the given canoniser; [exact_threshold]
+    is passed to every {!equivalent} test the table makes. *)
+
+val add : ('a, 'b) classes -> 'a key -> 'b -> bool
+(** [add c k x] opens a new class held by [k] and [x] and returns
+    [true], unless [k] is equivalent to a representative already in
+    [c], in which case it returns [false] and changes nothing. Not
+    thread-safe. *)
+
+val mem : ('a, 'b) classes -> 'a key -> bool
+(** Is [k] equivalent to some representative? Safe to call from
+    several domains at once while no {!add} runs. *)
+
+val representatives :
+  ('a, 'b) classes -> bucket:('a key -> 'g) -> ('a key * 'b) list
+(** The representatives in the order of a [Hashtbl.fold] over a table
+    that maps [bucket k] to its representatives, newest first, filled
+    in input order — the order of the fingerprint-bucket scans this
+    table replaced, on which pinned witnesses and digests depend. *)
 
 val decorated : 'a t -> ('a * int) t
 (** A fresh canoniser over views whose labels carry an [int] decoration

@@ -14,8 +14,6 @@
     [Locald_local.Oblivious]) own the soundness conditions under which
     the quotient replaces the naive loop. *)
 
-open Locald_graph
-
 val perm : bound:int -> k:int -> int
 (** Falling factorial [bound * (bound-1) * ... * (bound-k+1)] — the
     number of injective k-tuples over [{0..bound-1}]; [0] when
@@ -73,16 +71,6 @@ val extend : n:int -> bound:int -> back:int array -> int array -> int array
     order — a fixed completion, so reconstructed witnesses are
     deterministic. Requires [bound >= n].
     @raise Invalid_argument on a non-injective or out-of-range [r]. *)
-
-val distinct_classes :
-  ('a * int) Canon.t -> 'a View.t -> int array Seq.t -> int
-(** [distinct_classes dc view decos] is the number of decorated-view
-    orbits among the id-decorations [decos] of [view]: each decoration
-    is folded into the labels ({!Locald_graph.View.mapi_labels}) and
-    grouped by the derived canoniser's keys (fingerprint buckets,
-    collisions resolved by [Canon.equivalent]). Reporting and
-    property-test grade — the hot quotient scans count classes
-    arithmetically. *)
 
 (** {1 Run-scoped scan accounting}
 

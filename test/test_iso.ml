@@ -156,9 +156,128 @@ let prop_signature_respects_iso =
       = Iso.view_signature Hashtbl.hash
           (View.extract lh ~center:perm.(v) ~radius:1))
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the flat-array refinement against the list one *)
+(* ------------------------------------------------------------------ *)
+
+(* The original list-based joint refinement, kept verbatim as the
+   reference: each round builds (colour, sorted neighbour colour list)
+   keys, and numbers them by rank in [List.sort_uniq compare] order. *)
+module Reference = struct
+  type key = int * int list
+
+  let round_keys g colors =
+    Array.mapi
+      (fun v c ->
+        let nbr = Array.map (fun u -> colors.(u)) (Graph.neighbours g v) in
+        Array.sort compare nbr;
+        ((c, Array.to_list nbr) : key))
+      colors
+
+  let canonical_renumber (keyss : key array list) : int array list =
+    let all = List.concat_map Array.to_list keyss in
+    let distinct = List.sort_uniq compare all in
+    let tbl = Hashtbl.create (2 * List.length distinct) in
+    List.iteri (fun i k -> Hashtbl.replace tbl k i) distinct;
+    List.map (Array.map (fun k -> Hashtbl.find tbl k)) keyss
+
+  let count_distinct colors =
+    let module S = Set.Make (Int) in
+    S.cardinal (Array.fold_left (fun s c -> S.add c s) S.empty colors)
+
+  let max_refinement_rounds = 6
+
+  let refine_joint (pairs : (Graph.t * int array) list) : int array list =
+    let graphs = List.map fst pairs in
+    let rec go rounds colorss =
+      if rounds >= max_refinement_rounds then colorss
+      else
+        let keyss = List.map2 round_keys graphs colorss in
+        let colorss' = canonical_renumber keyss in
+        let total cs = List.fold_left (fun acc c -> acc + count_distinct c) 0 cs in
+        if total colorss' = total colorss then colorss'
+        else go (rounds + 1) colorss'
+    in
+    let init =
+      canonical_renumber
+        (List.map (fun (_, c) -> Array.map (fun x -> (x, [])) c) pairs)
+    in
+    go 0 init
+end
+
+(* A random graph (dense enough, at the top of the range, for neighbour
+   slices longer than the insertion-sort cut-off) with initial colours
+   drawn from one of three regimes: hash-sized values, a few repeated
+   values, or one constant. *)
+let arbitrary_coloured =
+  QCheck2.Gen.(
+    let* n = int_range 0 40 in
+    let* p = float_range 0.05 0.9 in
+    let* regime = int_bound 2 in
+    let* seed = int_bound 1_000_000 in
+    let rng = Random.State.make [| seed |] in
+    let g = Gen.random_graph rng ~n ~p in
+    let colors =
+      Array.init n (fun _ ->
+          match regime with
+          | 0 -> Hashtbl.hash (Random.State.bits rng)
+          | 1 -> Random.State.int rng 3
+          | _ -> 7)
+    in
+    return (g, colors, seed))
+
+let refinement_arrays = Alcotest.(list (array int))
+
+let prop_refine_single =
+  QCheck2.Test.make ~name:"array refinement = list reference (one graph)"
+    ~count:300 arbitrary_coloured (fun (g, colors, _) ->
+      Iso.refine_colors g colors = List.hd (Reference.refine_joint [ (g, colors) ]))
+
+let prop_refine_joint =
+  QCheck2.Test.make ~name:"array refinement = list reference (joint pairs)"
+    ~count:300
+    QCheck2.Gen.(pair arbitrary_coloured arbitrary_coloured)
+    (fun ((g, cg, seed), (h, ch, _)) ->
+      (* Half the pairs are a graph against a relabelled copy of itself,
+         so equal keys occur across the two graphs. *)
+      let h, ch =
+        if seed mod 2 = 0 then (h, ch)
+        else
+          let perm = random_perm (Random.State.make [| seed |]) (Graph.order g) in
+          let inv = Array.make (Graph.order g) 0 in
+          Array.iteri (fun u v -> inv.(v) <- u) perm;
+          (Graph.relabel g perm, Array.map (fun u -> cg.(u)) inv)
+      in
+      Iso.refine_joint [ (g, cg); (h, ch) ]
+      = Reference.refine_joint [ (g, cg); (h, ch) ])
+
+let test_refine_structured () =
+  List.iter
+    (fun g ->
+      let n = Graph.order g in
+      List.iter
+        (fun colors ->
+          check refinement_arrays "single"
+            (Reference.refine_joint [ (g, colors) ])
+            (Iso.refine_joint [ (g, colors) ]);
+          check refinement_arrays "joint with itself"
+            (Reference.refine_joint [ (g, colors); (g, colors) ])
+            (Iso.refine_joint [ (g, colors); (g, colors) ]))
+        [ Array.make n 0; Array.init n (fun v -> v mod 2); Array.init n (fun v -> -v) ])
+    [
+      Gen.cycle 9; Gen.grid 4 5; Gen.torus 4 4; Gen.star 40; Gen.path 30;
+      Gen.complete 26; Gen.complete_binary_tree 5; Graph.empty 0;
+    ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_relabel_iso; prop_views_iso_symmetric; prop_signature_respects_iso ]
+    [
+      prop_relabel_iso;
+      prop_views_iso_symmetric;
+      prop_signature_respects_iso;
+      prop_refine_single;
+      prop_refine_joint;
+    ]
 
 let () =
   Alcotest.run "iso"
@@ -169,6 +288,8 @@ let () =
           Alcotest.test_case "relabelled" `Quick test_iso_relabelled;
           Alcotest.test_case "negative cases" `Quick test_iso_negative;
           Alcotest.test_case "colour refinement" `Quick test_refine_colors_invariant;
+          Alcotest.test_case "array refinement on structured graphs" `Quick
+            test_refine_structured;
         ] );
       ( "labelled",
         [

@@ -189,6 +189,129 @@ let prop_cache_transparent =
             views)
         views)
 
+(* A view set for the class table: every radius-1 or radius-2 view of
+   one of five graph families, shuffled. Cycles, tori and the constant
+   grid are vertex-transitive or nearly so, so their refinements are not
+   discrete and the table's fallback to the backtracking test runs;
+   random graphs give mostly discrete, exact keys. The optional
+   threshold puts the larger views in the signature-only regime. *)
+let arbitrary_view_set =
+  QCheck2.Gen.(
+    let* family = int_bound 4 in
+    let* radius = int_range 1 2 in
+    let* threshold = oneofl [ None; Some 4; Some 6 ] in
+    let* seed = int_bound 1_000_000 in
+    let rng = Random.State.make [| seed |] in
+    let lg =
+      match family with
+      | 0 -> Labelled.const (Gen.cycle (5 + Random.State.int rng 6)) 0
+      | 1 -> Labelled.const (Gen.torus 3 4) 1
+      | 2 -> Labelled.const (Gen.grid 4 5) 0
+      | 3 -> Labelled.init (Gen.grid 3 5) (fun v -> v mod 2)
+      | _ ->
+          let n = 6 + Random.State.int rng 12 in
+          Labelled.make
+            (Gen.random_connected rng ~n ~p:0.2)
+            (Array.init n (fun _ -> Random.State.int rng 2))
+    in
+    let n = Labelled.order lg in
+    let centres = shuffle rng (Array.init (2 * n) (fun i -> i mod n)) in
+    let views = Array.map (fun v -> View.extract lg ~center:v ~radius) centres in
+    return (views, threshold))
+
+(* The pairwise reference: the old bucket scan with the backtracking
+   test as its equivalence, bucketed by the historical keys — the
+   signature alone, or the (signature, order, size) triple where a
+   threshold is in play — and reported by folding the bucket table. *)
+let pairwise_representatives views threshold =
+  let equiv a b =
+    match threshold with
+    | Some th when View.order a > th ->
+        Iso.view_signature Hashtbl.hash a = Iso.view_signature Hashtbl.hash b
+        && View.order a = View.order b
+        && Int.equal (Graph.size a.View.graph) (Graph.size b.View.graph)
+    | _ -> Iso.views_isomorphic ( = ) a b
+  in
+  let buckets = Hashtbl.create 256 in
+  Array.iteri
+    (fun i v ->
+      let s = Iso.view_signature Hashtbl.hash v in
+      let b =
+        match threshold with
+        | None -> Hashtbl.hash s
+        | Some _ -> Hashtbl.hash (s, View.order v, Graph.size v.View.graph)
+      in
+      let bucket =
+        match Hashtbl.find_opt buckets b with
+        | Some l -> l
+        | None ->
+            let l = ref [] in
+            Hashtbl.replace buckets b l;
+            l
+      in
+      if not (List.exists (fun j -> equiv v views.(j)) !bucket) then
+        bucket := i :: !bucket)
+    views;
+  Hashtbl.fold (fun _ l acc -> !l @ acc) buckets []
+
+let prop_class_table_matches_pairwise =
+  QCheck2.Test.make ~name:"class table = pairwise Iso.views_isomorphic dedupe"
+    ~count:80 arbitrary_view_set (fun (views, threshold) ->
+      let canon = Canon.create ~equal:( = ) () in
+      let classes = Canon.classes ?exact_threshold:threshold canon in
+      let keys = Array.map (Canon.key canon) views in
+      Array.iteri (fun i k -> ignore (Canon.add classes k i)) keys;
+      let bucket k =
+        match threshold with
+        | None -> Hashtbl.hash (Canon.fingerprint k)
+        | Some _ ->
+            let v = Canon.view k in
+            Hashtbl.hash (Canon.fingerprint k, View.order v, Graph.size v.View.graph)
+      in
+      let reps = List.map snd (Canon.representatives classes ~bucket) in
+      reps = pairwise_representatives views threshold
+      && Array.for_all (Canon.mem classes) keys)
+
+let test_class_table_regimes () =
+  let add_all canon classes views =
+    List.iteri
+      (fun i v -> ignore (Canon.add classes (Canon.key canon v) i))
+      views
+  in
+  (* All radius-2 views of an unlabelled cycle are isomorphic and none is
+     discrete: one class, found by the backtracking fallback. *)
+  let canon = Canon.create ~equal:( = ) () in
+  let classes = Canon.classes canon in
+  let cycle = Labelled.const (Gen.cycle 8) 0 in
+  add_all canon classes (List.init 8 (fun v -> View.extract cycle ~center:v ~radius:2));
+  let count classes =
+    List.length (Canon.representatives classes ~bucket:Canon.fingerprint)
+  in
+  check int "cycle: one class" 1 (count classes);
+  check bool "cycle: decided by the fallback" true
+    ((Canon.stats canon).Canon.fallback > 0);
+  (* Above the threshold, equal fingerprint, order and size make one
+     class even where the exact test tells the views apart. *)
+  let lg = Labelled.init (Gen.complete_binary_tree 6) (fun v -> v mod 3) in
+  let views =
+    List.init (Labelled.order lg) (fun v -> View.extract lg ~center:v ~radius:2)
+  in
+  let canon = Canon.create ~equal:( = ) () in
+  let exact = Canon.classes canon and coarse = Canon.classes ~exact_threshold:0 canon in
+  add_all canon exact views;
+  add_all canon coarse views;
+  let triples =
+    List.sort_uniq compare
+      (List.map
+         (fun v ->
+           (Iso.view_signature Hashtbl.hash v, View.order v, Graph.size v.View.graph))
+         views)
+  in
+  check int "above the threshold: one class per triple" (List.length triples)
+    (count coarse);
+  check bool "above the threshold: coarser than exact" true
+    (count coarse < count exact)
+
 (* ------------------------------------------------------------------ *)
 (* Orbit enumeration and decide-once keys                              *)
 (* ------------------------------------------------------------------ *)
@@ -437,6 +560,7 @@ let qcheck_cases =
       prop_relabelling_invariance;
       prop_agrees_with_backtracking;
       prop_cache_transparent;
+      prop_class_table_matches_pairwise;
     ]
 
 let orbit_cases =
@@ -461,6 +585,7 @@ let () =
         ] );
       ( "canon",
         Alcotest.test_case "memo hits" `Quick test_canon_memo_hits
+        :: Alcotest.test_case "class table regimes" `Quick test_class_table_regimes
         :: qcheck_cases );
       ("orbit", orbit_cases);
       ( "hoist",
