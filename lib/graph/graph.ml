@@ -126,15 +126,15 @@ let bfs_distances_with queue g src =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    let du = dist.(u) + 1 in
-    Array.iter
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- du;
-          queue.(!tail) <- v;
-          incr tail
-        end)
-      g.adj.(u)
+    let du = dist.(u) + 1 and nb = g.adj.(u) in
+    for j = 0 to Array.length nb - 1 do
+      let v = nb.(j) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   dist
 

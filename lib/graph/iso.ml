@@ -8,36 +8,25 @@
    partial map so that edges *and* non-edges are preserved at every
    extension step. *)
 
-(* Sort [a.(lo) .. a.(hi - 1)] ascending in place: insertion sort for
-   the short slices that neighbour lists almost always are. *)
-let sort_slice (a : int array) lo hi =
-  if hi - lo > 24 then begin
+(* Sort [a.(lo) .. a.(hi - 1)] in place by [cmp]: insertion sort for
+   the short runs that neighbour lists and colour classes almost always
+   are. *)
+let sort_slice cmp (a : int array) lo hi =
+  if hi - lo > 16 then begin
     let s = Array.sub a lo (hi - lo) in
-    Array.sort Int.compare s;
+    Array.stable_sort cmp s;
     Array.blit s 0 a lo (hi - lo)
   end
   else
     for i = lo + 1 to hi - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
+      while !j >= lo && cmp a.(!j) x > 0 do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
       a.(!j + 1) <- x
     done
-
-(* Number the vertices by the rank of their key: sort [idx] by [cmp],
-   then give equal keys equal numbers and consecutive distinct keys
-   consecutive numbers, so colour [i] is the [i]-th smallest key. *)
-let renumber idx cmp dst =
-  Array.stable_sort cmp idx;
-  let r = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if i > 0 && cmp idx.(i - 1) v <> 0 then incr r;
-      dst.(v) <- !r)
-    idx
 
 (* Jointly refine the colourings of several graphs until the total
    number of distinct colours stabilises — but at most a fixed number
@@ -49,23 +38,48 @@ let renumber idx cmp dst =
    perform the same rounds). *)
 let max_refinement_rounds = 6
 
+(* Per-domain working arrays for [refine_joint], grown on demand and
+   reused across calls (keys are computed under [Pool.map], one
+   refinement at a time per domain); only the returned colours are
+   fresh. *)
+type scratch = {
+  mutable off : int array;
+  mutable nbr : int array;
+  mutable nc : int array;
+  mutable idx : int array;
+  mutable cur : int array;
+  mutable next : int array;
+  mutable seen : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { off = [||]; nbr = [||]; nc = [||]; idx = [||]; cur = [||]; next = [||]; seen = [||] })
+
+let grown a len = if Array.length a >= len then a else Array.make (max len (2 * Array.length a)) 0
+
 (* The graphs are laid side by side in one flat vertex space (graph [i]
    owns [base.(i) .. base.(i+1) - 1]) with CSR neighbour slices, so a
    round is a handful of int-array passes. A round's key for vertex [v]
-   is (colour, sorted neighbour colours); vertices are sorted by key —
-   colour first, then the neighbour colours lexicographically, a proper
-   prefix first — and renumbered by key rank across all graphs at once,
-   so colour numbers are comparable between the graphs. The initial
-   colours are renumbered the same way, so arbitrary values (hashes)
-   become comparable. A round that leaves the sum over graphs of the
-   per-graph distinct-colour counts unchanged is the last. *)
+   is (colour, sorted neighbour colours), and the new colour of [v] is
+   the rank of its key among the distinct keys of all graphs — colour
+   first, then the neighbour colours lexicographically, a proper prefix
+   first — so colour numbers are comparable between the graphs. The
+   initial colours are ranked the same way, so arbitrary values
+   (hashes) become comparable. [idx] lists the vertices sorted by
+   current colour, so a round only sorts within each colour class. A
+   round that leaves the sum over graphs of the per-graph distinct
+   counts unchanged is the last. *)
 let refine_joint (pairs : (Graph.t * int array) list) : int array list =
   let graphs = Array.of_list (List.map fst pairs) in
   let k = Array.length graphs in
   let base = Array.make (k + 1) 0 in
   Array.iteri (fun i g -> base.(i + 1) <- base.(i) + Graph.order g) graphs;
   let n = base.(k) in
-  let off = Array.make (n + 1) 0 in
+  let s = Domain.DLS.get scratch_key in
+  s.off <- grown s.off (n + 1);
+  let off = s.off in
+  off.(0) <- 0;
   Array.iteri
     (fun i g ->
       for u = 0 to Graph.order g - 1 do
@@ -73,69 +87,104 @@ let refine_joint (pairs : (Graph.t * int array) list) : int array list =
         off.(v + 1) <- off.(v) + Graph.degree g u
       done)
     graphs;
-  let nbr = Array.make off.(n) 0 in
+  let m2 = off.(n) in
+  s.nbr <- grown s.nbr m2;
+  s.nc <- grown s.nc m2;
+  s.idx <- grown s.idx n;
+  s.cur <- grown s.cur n;
+  s.next <- grown s.next n;
+  if k > 1 then s.seen <- grown s.seen n;
+  let nbr = s.nbr and nc = s.nc and idx = s.idx and seen = s.seen in
   Array.iteri
     (fun i g ->
       for u = 0 to Graph.order g - 1 do
-        let o = off.(base.(i) + u) in
-        Array.iteri (fun j w -> nbr.(o + j) <- base.(i) + w) (Graph.neighbours g u)
+        let o = off.(base.(i) + u) and nb = Graph.neighbours g u in
+        for j = 0 to Array.length nb - 1 do
+          nbr.(o + j) <- base.(i) + nb.(j)
+        done
       done)
     graphs;
-  let raw = Array.make n 0 in
-  List.iteri (fun i (_, c) -> Array.blit c 0 raw base.(i) (Array.length c)) pairs;
-  let idx = Array.init n Fun.id in
-  let cur = ref (Array.make n 0) in
-  renumber idx (fun a b -> Int.compare raw.(a) raw.(b)) !cur;
-  let seen = Array.make n (-1) in
-  let total_distinct colors =
-    Array.fill seen 0 n (-1);
-    let s = ref 0 in
-    for i = 0 to k - 1 do
-      for v = base.(i) to base.(i + 1) - 1 do
-        if seen.(colors.(v)) <> i then begin
-          seen.(colors.(v)) <- i;
-          incr s
-        end
-      done
+  let raw =
+    match pairs with
+    | [ (_, c) ] -> c
+    | _ ->
+        let raw = Array.make n 0 in
+        List.iteri (fun i (_, c) -> Array.blit c 0 raw base.(i) (Array.length c)) pairs;
+        raw
+  in
+  for v = 0 to n - 1 do
+    idx.(v) <- v
+  done;
+  (* Rank the vertices in [idx] order into [dst] by [same]-runs: a new
+     number wherever [same prev v] fails; returns the distinct count. *)
+  let assign same dst =
+    let r = ref (-1) in
+    for i = 0 to n - 1 do
+      let v = idx.(i) in
+      if i = 0 || not (same idx.(i - 1) v) then incr r;
+      dst.(v) <- !r
     done;
-    !s
+    !r + 1
   in
-  let nc = Array.make off.(n) 0 in
-  let key_compare col a b =
-    match Int.compare col.(a) col.(b) with
-    | 0 ->
-        let oa = off.(a) and ob = off.(b) in
-        let la = off.(a + 1) - oa and lb = off.(b + 1) - ob in
-        let rec lex j =
-          if j >= la || j >= lb then Int.compare la lb
-          else
-            match Int.compare nc.(oa + j) nc.(ob + j) with
-            | 0 -> lex (j + 1)
-            | c -> c
-        in
-        lex 0
-    | c -> c
+  let total_distinct colors distinct =
+    if k = 1 then distinct
+    else begin
+      Array.fill seen 0 n (-1);
+      let count = ref 0 in
+      for i = 0 to k - 1 do
+        for v = base.(i) to base.(i + 1) - 1 do
+          if seen.(colors.(v)) <> i then begin
+            seen.(colors.(v)) <- i;
+            incr count
+          end
+        done
+      done;
+      !count
+    end
   in
+  let lex a b =
+    let oa = off.(a) and ob = off.(b) in
+    let la = off.(a + 1) - oa and lb = off.(b + 1) - ob in
+    let rec go j =
+      if j >= la || j >= lb then Int.compare la lb
+      else
+        match Int.compare nc.(oa + j) nc.(ob + j) with 0 -> go (j + 1) | c -> c
+    in
+    go 0
+  in
+  sort_slice (fun a b -> Int.compare raw.(a) raw.(b)) idx 0 n;
+  let cur = ref s.cur and next = ref s.next in
+  let distinct = assign (fun a b -> raw.(a) = raw.(b)) !cur in
   let rec go rounds total =
     (* One graph already discrete: the next round renumbers every vertex
        to its own colour, so it can be skipped. *)
     if rounds < max_refinement_rounds && not (k = 1 && total = n) then begin
       let col = !cur in
-      for j = 0 to off.(n) - 1 do
+      for j = 0 to m2 - 1 do
         nc.(j) <- col.(nbr.(j))
       done;
       for v = 0 to n - 1 do
-        sort_slice nc off.(v) off.(v + 1)
+        sort_slice Int.compare nc off.(v) off.(v + 1)
       done;
-      let next = Array.make n 0 in
-      renumber idx (key_compare col) next;
-      cur := next;
-      let total' = total_distinct next in
+      let i = ref 0 in
+      while !i < n do
+        let c = col.(idx.(!i)) and j = ref (!i + 1) in
+        while !j < n && col.(idx.(!j)) = c do
+          incr j
+        done;
+        sort_slice lex idx !i !j;
+        i := !j
+      done;
+      let dst = !next in
+      let d = assign (fun a b -> col.(a) = col.(b) && lex a b = 0) dst in
+      next := col;
+      cur := dst;
+      let total' = total_distinct dst d in
       if total' <> total then go (rounds + 1) total'
     end
   in
-  go 0 (total_distinct !cur);
-  Array.to_list (Array.init k (fun i -> Array.sub !cur base.(i) (base.(i + 1) - base.(i))))
+  go 0 (total_distinct !cur distinct);
+  List.init k (fun i -> Array.sub !cur base.(i) (base.(i + 1) - base.(i)))
 
 let refine_colors g colors =
   match refine_joint [ (g, colors) ] with

@@ -137,6 +137,42 @@ let form_hash t f =
   Array.iter (fun e -> h := mix !h e) f.f_edges;
   !h land max_int
 
+(* The form of a discrete refinement: [rank] numbers the vertices
+   [0 .. n-1]. Edge codes come out sorted without a comparison sort:
+   [next.(a)] is where the next edge [(a, b)] with [a < b] goes, and
+   edges are placed with [b] ascending, so each [a]'s run is sorted. *)
+let discrete_form (view : 'a View.t) rank =
+  let g = view.View.graph in
+  let n = Graph.order g in
+  let order = Array.make n 0 in
+  Array.iteri (fun v r -> order.(r) <- v) rank;
+  let next = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let nb = Graph.neighbours g u in
+    for j = 0 to Array.length nb - 1 do
+      if rank.(nb.(j)) > rank.(u) then next.(rank.(u) + 1) <- next.(rank.(u) + 1) + 1
+    done
+  done;
+  for a = 1 to n do
+    next.(a) <- next.(a) + next.(a - 1)
+  done;
+  let edges = Array.make (Graph.size g) 0 in
+  for b = 0 to n - 1 do
+    let nb = Graph.neighbours g order.(b) in
+    for j = 0 to Array.length nb - 1 do
+      let a = rank.(nb.(j)) in
+      if a < b then begin
+        edges.(next.(a)) <- (a * n) + b;
+        next.(a) <- next.(a) + 1
+      end
+    done
+  done;
+  {
+    f_center = rank.(view.View.center);
+    f_labels = Array.map (fun v -> view.View.labels.(v)) order;
+    f_edges = edges;
+  }
+
 let compute t (view : 'a View.t) =
   let g = view.View.graph in
   let n = Graph.order g in
@@ -145,36 +181,21 @@ let compute t (view : 'a View.t) =
     Array.mapi (fun i x -> Hashtbl.hash (t.label_hash x, d.(i))) view.View.labels
   in
   let final = Iso.refine_colors g init in
-  let multiset = Array.copy final in
-  Array.sort Int.compare multiset;
+  (* Colours are key ranks [0 .. k-1], so counting gives the sorted
+     multiset, and the refinement is discrete iff [k = n]. *)
+  let count = Array.make n 0 in
+  Array.iter (fun c -> count.(c) <- count.(c) + 1) final;
+  let multiset = ref [] and distinct = ref 0 in
+  for c = n - 1 downto 0 do
+    if count.(c) > 0 then incr distinct;
+    for _ = 1 to count.(c) do
+      multiset := c :: !multiset
+    done
+  done;
   (* Same formula as [Iso.view_signature] (pinned by a test), so code
      that buckets by signature keeps its exact bucket boundaries. *)
-  let fp =
-    Hashtbl.hash (final.(view.View.center), Array.to_list multiset, Graph.size g)
-  in
-  (* Colours are key ranks, so n vertices are discrete iff the largest
-     colour is n - 1. *)
-  let form =
-    if n > 0 && multiset.(n - 1) <> n - 1 then None
-    else begin
-      let labels = Array.make n view.View.labels.(0) in
-      Array.iteri (fun v c -> labels.(c) <- view.View.labels.(v)) final;
-      let edges = Array.make (Graph.size g) 0 in
-      let e = ref 0 in
-      for u = 0 to n - 1 do
-        Array.iter
-          (fun w ->
-            if u < w then begin
-              let a = final.(u) and b = final.(w) in
-              edges.(!e) <- (if a < b then (a * n) + b else (b * n) + a);
-              incr e
-            end)
-          (Graph.neighbours g u)
-      done;
-      Array.sort Int.compare edges;
-      Some { f_center = final.(view.View.center); f_labels = labels; f_edges = edges }
-    end
-  in
+  let fp = Hashtbl.hash (final.(view.View.center), !multiset, Graph.size g) in
+  let form = if !distinct = n then Some (discrete_form view final) else None in
   {
     k_fingerprint = fp;
     k_order = n;
