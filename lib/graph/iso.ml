@@ -79,7 +79,6 @@ let refine_joint (pairs : (Graph.t * int array) list) : int array list =
   let s = Domain.DLS.get scratch_key in
   s.off <- grown s.off (n + 1);
   let off = s.off in
-  off.(0) <- 0;
   Array.iteri
     (fun i g ->
       for u = 0 to Graph.order g - 1 do

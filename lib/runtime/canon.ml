@@ -292,8 +292,9 @@ let decorated t =
 
 (* Fingerprint buckets are coarse: [Hashtbl.hash] reads only a bounded
    prefix of the sorted colour list, which for a discrete refinement is
-   always [0; 1; 2; ...], so the 8,191 view classes of f1-coverage-scale
-   share 212 fingerprints. The table indexes keys by a finer slot —
+   always [0; 1; 2; ...], so the 32,767 pairwise non-isomorphic views
+   of f1-coverage-scale share 212 fingerprints (the largest bucket
+   holds 1,067). The table indexes keys by a finer slot —
    fingerprint, order, size and the form hash — so an exact key meets
    only the classes whose forms hash alike. Keys without a form, and
    every key above [exact_threshold], share the [no_form] slot of their

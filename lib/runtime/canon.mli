@@ -13,7 +13,7 @@
 
     The fingerprint is a coarse bucket: [Hashtbl.hash] reads only a
     bounded prefix of the sorted colour list, which for a discrete
-    refinement is always [0; 1; 2; ...] (f1-coverage-scale's 8,191
+    refinement is always [0; 1; 2; ...] (f1-coverage-scale's 32,767
     classes share 212 fingerprints). The {!classes} table therefore
     indexes exact keys by fingerprint, order, size and form hash, so
     deduplicating [n] views costs [n] lookups rather than a scan of
