@@ -38,10 +38,10 @@ let sort_slice cmp (a : int array) lo hi =
    perform the same rounds). *)
 let max_refinement_rounds = 6
 
-(* Per-domain working arrays for [refine_joint], grown on demand and
-   reused across calls (keys are computed under [Pool.map], one
-   refinement at a time per domain); only the returned colours are
-   fresh. *)
+(* Per-domain working arrays for [refine_joint], grown on demand to the
+   largest input refined so far and reused across calls (keys are
+   computed under [Pool.map], one refinement at a time per domain);
+   only the returned colours are fresh. *)
 type scratch = {
   mutable off : int array;
   mutable nbr : int array;
